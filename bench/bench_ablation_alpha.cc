@@ -2,8 +2,6 @@
 // parameter of Theorems 3.1/3.5). The paper fixes alpha = 0.5 everywhere;
 // this ablation shows how F1 responds when alpha moves away from the
 // dataset's actual fraction of true triples.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -35,27 +33,10 @@ void PrintAlphaSweep() {
               "is nearly flat)\n");
 }
 
-void BM_AlphaRun(benchmark::State& state) {
-  auto reverb = MakeReverbDataset(42);
-  FUSER_CHECK(reverb.ok());
-  EngineOptions options;
-  options.model.alpha = static_cast<double>(state.range(0)) / 100.0;
-  FusionEngine engine(&*reverb, options);
-  FUSER_CHECK(engine.Prepare(reverb->labeled_mask()).ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRec});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_AlphaRun)->Arg(25)->Arg(50)->Arg(75)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintAlphaSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // A1: ablation of the clustering design choices behind the BOOK experiment
 // (Section 5.1): correlation threshold and cluster-size cap vs F1 and
 // model-build + scoring time.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -55,34 +53,10 @@ void PrintAblation() {
               "caps below the true cartel size cost accuracy)\n");
 }
 
-void BM_ClusteringThreshold(benchmark::State& state) {
-  auto dataset = MakeBookDataset(42);
-  FUSER_CHECK(dataset.ok());
-  EngineOptions options;
-  options.model.enable_clustering = true;
-  options.model.use_scopes = true;
-  options.model.clustering.correlation_threshold =
-      static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) {
-    FusionEngine engine(&*dataset, options);
-    FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-    auto model = engine.GetModel();
-    benchmark::DoNotOptimize(model);
-  }
-}
-BENCHMARK(BM_ClusteringThreshold)
-    ->Arg(10)
-    ->Arg(25)
-    ->Arg(50)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // A4: training-fraction ablation. The framework derives all parameters
 // from labeled training data (Section 3.2); this sweep shows how much gold
 // standard the methods need, evaluating on a fixed held-out half.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -51,26 +49,10 @@ void PrintTrainingSweep() {
               "joint statistics of precrec-corr profit from more)\n");
 }
 
-void BM_PrepareCost(benchmark::State& state) {
-  SyntheticConfig config =
-      MakeIndependentConfig(6, 4000, 0.35, 0.6, 0.4, /*seed=*/5);
-  auto dataset = GenerateSynthetic(config);
-  FUSER_CHECK(dataset.ok());
-  for (auto _ : state) {
-    FusionEngine engine(&*dataset, {});
-    FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-    auto model = engine.GetModel();
-    benchmark::DoNotOptimize(model);
-  }
-}
-BENCHMARK(BM_PrepareCost)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintTrainingSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

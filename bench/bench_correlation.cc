@@ -2,9 +2,9 @@
 // the sketch estimator (stats/correlation_sketch.h) on synthetic datasets
 // of 64 / 256 / 1024 sources with planted correlated groups.
 //
-// Standalone binary (no google-benchmark dependency); prints a single
-// JSON object on the last stdout line so CI and scripts/check_bench.py
-// can track the speedups and the estimation-error contract:
+// Prints a single JSON object on the last stdout line so CI and
+// scripts/check_bench.py can track the speedups and the estimation-error
+// contract:
 //
 //   ./bench_correlation [universe] [sketch_size] [reps] [scales_csv]
 //
@@ -26,9 +26,9 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/timer.h"
 #include "core/correlation.h"
 #include "stats/correlation_sketch.h"
 #include "synth/generator.h"
@@ -129,22 +129,17 @@ ScaleResult RunScale(size_t num_sources, size_t universe, size_t sketch_size,
   collect_groups(config.groups_true);
   collect_groups(config.groups_false);
 
-  // Exact path, min-of-reps.
+  // Exact path. Each rep hands the previous result back to be freed after
+  // the clock stops.
   std::vector<PairwiseCorrelation> exact;
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
+  result.exact_seconds = bench::MinSeconds(reps, [&] {
     auto pairs =
         ComputePairwiseCorrelations(ds, ds.labeled_mask(), all, stats_options);
-    const double seconds = timer.ElapsedSeconds();
     FUSER_CHECK(pairs.ok()) << pairs.status();
-    if (rep == 0 || seconds < result.exact_seconds) {
-      result.exact_seconds = seconds;
-    }
-    exact = std::move(*pairs);
-  }
+    return std::exchange(exact, std::move(*pairs));
+  });
 
-  // Sketch path (with the exact-oracle top-k rescore it ships with),
-  // min-of-reps.
+  // Sketch path (with the exact-oracle top-k rescore it ships with).
   ApproxOptions approx;
   approx.sketch_size = sketch_size;
   // Oracle budget: at least the default, and 2x the planted signal so
@@ -152,17 +147,12 @@ ScaleResult RunScale(size_t num_sources, size_t universe, size_t sketch_size,
   approx.exact_top_k = std::max<size_t>(64, 2 * planted_pairs.size());
   ApproxDiscoveryReport report;
   std::vector<PairwiseCorrelation> approx_pairs;
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
+  result.sketch_seconds = bench::MinSeconds(reps, [&] {
     auto pairs = ComputePairwiseCorrelationsApprox(
         ds, ds.labeled_mask(), all, stats_options, approx, &report);
-    const double seconds = timer.ElapsedSeconds();
     FUSER_CHECK(pairs.ok()) << pairs.status();
-    if (rep == 0 || seconds < result.sketch_seconds) {
-      result.sketch_seconds = seconds;
-    }
-    approx_pairs = std::move(*pairs);
-  }
+    return std::exchange(approx_pairs, std::move(*pairs));
+  });
   result.speedup = result.sketch_seconds > 0.0
                        ? result.exact_seconds / result.sketch_seconds
                        : 0.0;
@@ -267,7 +257,6 @@ int Main(int argc, char** argv) {
   size_t sketch_size =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2048;
   int reps = argc > 3 ? static_cast<int>(std::strtol(argv[3], nullptr, 10)) : 3;
-  if (reps < 1) reps = 1;
   std::vector<size_t> scales =
       ParseScales(argc > 4 ? argv[4] : "64,256,1024");
   FUSER_CHECK(!scales.empty());

@@ -3,8 +3,6 @@
 // paper's narrative (group sizes on true/false triples, anti-correlated
 // sources, BOOK cluster sizes).
 //
-// Standalone binary (no google-benchmark dependency):
-//
 //   ./bench_correlation_discovery [reps]
 //
 // prints the narrative report followed by a single JSON object (timing
@@ -15,8 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/clustering.h"
 #include "core/correlation.h"
 #include "stats/correlation_sketch.h"
@@ -72,7 +70,6 @@ size_t PrintClusters(const Dataset& dataset, const char* title,
 
 int Main(int argc, char** argv) {
   int reps = argc > 1 ? static_cast<int>(std::strtol(argv[1], nullptr, 10)) : 3;
-  if (reps < 1) reps = 1;
 
   std::printf("== Section 5.1: discovered correlations ==\n");
   auto reverb = MakeReverbDataset(42);
@@ -100,19 +97,15 @@ int Main(int argc, char** argv) {
               "false) --\n");
   size_t book_clusters = PrintClusters(*book, "book clusters", book_options);
 
-  // Timing of the BOOK pairwise pass (the paper's largest dataset),
-  // min-of-reps.
+  // Timing of the BOOK pairwise pass (the paper's largest dataset).
   std::vector<SourceId> all(book->num_sources());
   for (SourceId s = 0; s < book->num_sources(); ++s) all[s] = s;
-  double pairwise_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
+  const double pairwise_seconds = bench::MinSeconds(reps, [&] {
     auto pairs =
         ComputePairwiseCorrelations(*book, book->labeled_mask(), all, {});
-    const double seconds = timer.ElapsedSeconds();
     FUSER_CHECK(pairs.ok());
-    if (rep == 0 || seconds < pairwise_seconds) pairwise_seconds = seconds;
-  }
+    return pairs;
+  });
 
   std::printf(
       "{\"bench\": \"correlation_discovery\", \"book_sources\": %zu, "

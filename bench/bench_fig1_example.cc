@@ -2,8 +2,6 @@
 // Figure 1b (source & joint quality), Figure 1c (Union-K voting),
 // Figure 3 (aggressive correlation factors), and the worked probabilities
 // of Examples 3.3, 4.4, 4.7, and 4.10.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -101,35 +99,13 @@ void PrintWorkedProbabilities() {
   }
 }
 
-void BM_ExampleExact(benchmark::State& state) {
-  Dataset dataset = MakeMotivatingExample();
-  CorrelationModel model = MakeExampleModel();
-  for (auto _ : state) {
-    auto scores = PrecRecCorrScores(dataset, model, {});
-    benchmark::DoNotOptimize(scores);
-  }
-}
-BENCHMARK(BM_ExampleExact);
-
-void BM_ExamplePrecRec(benchmark::State& state) {
-  Dataset dataset = MakeMotivatingExample();
-  std::vector<SourceQuality> quality = MakeExampleSourceQuality();
-  for (auto _ : state) {
-    auto scores = PrecRecScores(dataset, quality, {});
-    benchmark::DoNotOptimize(scores);
-  }
-}
-BENCHMARK(BM_ExamplePrecRec);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure1b();
   fuser::PrintFigure1c();
   fuser::PrintFigure3();
   fuser::PrintWorkedProbabilities();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

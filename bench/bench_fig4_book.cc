@@ -4,8 +4,6 @@
 //
 // Paper shape to reproduce: good absolute quality; precrec-corr best;
 // 3estimates low recall; clustering keeps the computation tractable.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "synth/paper_datasets.h"
 
@@ -39,37 +37,10 @@ void PrintFigure4c() {
                                BookEngineOptions());
 }
 
-void BM_BookModelBuild(benchmark::State& state) {
-  auto dataset = MakeBookDataset(42);
-  FUSER_CHECK(dataset.ok());
-  for (auto _ : state) {
-    FusionEngine engine(&*dataset, BookEngineOptions());
-    FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-    auto model = engine.GetModel();
-    benchmark::DoNotOptimize(model);
-  }
-}
-BENCHMARK(BM_BookModelBuild)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_BookPrecRecCorr(benchmark::State& state) {
-  auto dataset = MakeBookDataset(42);
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, BookEngineOptions());
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  FUSER_CHECK(engine.GetModel().ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRecCorr});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_BookPrecRecCorr)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure4c();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

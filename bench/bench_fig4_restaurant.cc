@@ -5,8 +5,6 @@
 // Paper shape to reproduce: most methods do well; LTM and UNION-25 are
 // comparable to PRECREC on F1, but PRECRECCORR gives the best
 // truthfulness estimates (PR/ROC curves and AUCs).
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "synth/paper_datasets.h"
 
@@ -25,24 +23,10 @@ void PrintFigure4b() {
                                 "precrec-corr"});
 }
 
-void BM_RestaurantAllMethods(benchmark::State& state) {
-  auto dataset = MakeRestaurantDataset(42);
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, {});
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRecCorr});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_RestaurantAllMethods)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure4b();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Paper shape to reproduce: PRECREC and PRECRECCORR clearly beat
 // 3-ESTIMATE and LTM on F1; PRECRECCORR has the best AUCs; UNION-25 is the
 // best UNION variant and close to PRECREC on F1 but worse on the curves.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "synth/paper_datasets.h"
 
@@ -33,36 +31,10 @@ void PrintFigure4a() {
       ReverbEngineOptions());
 }
 
-void BM_ReverbPrecRecCorr(benchmark::State& state) {
-  auto dataset = MakeReverbDataset(42);
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, {});
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRecCorr});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_ReverbPrecRecCorr)->Unit(benchmark::kMillisecond);
-
-void BM_ReverbPrecRec(benchmark::State& state) {
-  auto dataset = MakeReverbDataset(42);
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, {});
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRec});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_ReverbPrecRec)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure4a();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

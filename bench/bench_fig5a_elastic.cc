@@ -4,8 +4,6 @@
 // Paper shape to reproduce: the aggressive estimate is clearly worse than
 // the exact solution on REVERB and RESTAURANT; the elastic approximation
 // approaches PRECRECCORR within ~3 levels (not necessarily monotonically).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -65,26 +63,10 @@ void PrintFigure5a() {
               "level-3 close to exact everywhere)\n");
 }
 
-void BM_ElasticLevel(benchmark::State& state) {
-  auto dataset = MakeReverbDataset(42);
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, {});
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  MethodSpec spec{MethodKind::kElastic};
-  spec.elastic_level = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto run = engine.Run(spec);
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_ElasticLevel)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure5a();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,8 +10,6 @@
 // Paper shape to reproduce: PRECREC/PRECRECCORR dominate, especially at
 // low source quality; UNION-25 collapses with low-quality sources; LTM is
 // robust but benefits little from quality increases; 3-ESTIMATES trails.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -83,22 +81,10 @@ void PrintFigure6() {
               "quality; union-25 fragile at low quality; ltm flat)\n");
 }
 
-void BM_SyntheticGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    SyntheticConfig config =
-        MakeIndependentConfig(5, 1000, 0.25, 0.5, 0.2, 7);
-    auto dataset = GenerateSynthetic(config);
-    benchmark::DoNotOptimize(dataset);
-  }
-}
-BENCHMARK(BM_SyntheticGeneration)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // Paper shape to reproduce: PRECRECCORR clearly best in both scenarios;
 // the independence-based methods lose ground because they over- or
 // under-count correlated votes.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -78,24 +76,10 @@ void PrintFigure7() {
   std::printf("(paper shape: precrec-corr best in both columns)\n");
 }
 
-void BM_CorrelatedScenario(benchmark::State& state) {
-  auto dataset = GenerateSynthetic(CorrelationScenario(3));
-  FUSER_CHECK(dataset.ok());
-  FusionEngine engine(&*dataset, {});
-  FUSER_CHECK(engine.Prepare(dataset->labeled_mask()).ok());
-  for (auto _ : state) {
-    auto run = engine.Run({MethodKind::kPrecRecCorr});
-    benchmark::DoNotOptimize(run);
-  }
-}
-BENCHMARK(BM_CorrelatedScenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace fuser
 
-int main(int argc, char** argv) {
+int main() {
   fuser::PrintFigure7();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

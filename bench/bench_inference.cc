@@ -21,10 +21,9 @@
 //               table, with a byte-identity check; on machines without
 //               AVX2 both tables are the scalar one and the ratios are ~1.
 //
-// Standalone binary (no google-benchmark dependency), prints one JSON
-// object so CI and scripts can track the speedup. Every measurement is the
-// minimum over `reps` runs (steady state; warm memo caches favor the
-// legacy side, so the reported speedups are conservative):
+// Prints one JSON object so CI and scripts can track the speedup. Every
+// measurement is the minimum over `reps` runs (steady state; warm memo
+// caches favor the legacy side, so the reported speedups are conservative):
 //
 //   ./bench_inference [num_triples] [num_threads] [reps]
 #include <algorithm>
@@ -34,12 +33,12 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/bitset.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "core/elastic.h"
 #include "core/engine.h"
 #include "core/pattern_pipeline.h"
@@ -86,8 +85,7 @@ int Main(int argc, char** argv) {
   // dataset is ~80% of this (125k keeps it at ~100k provided triples).
   size_t num_triples = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 125000;
   size_t num_threads = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 8;
-  size_t reps = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 3;
-  if (reps == 0) reps = 1;
+  int reps = argc > 3 ? static_cast<int>(std::strtol(argv[3], nullptr, 10)) : 3;
 
   SyntheticConfig config = MakeIndependentConfig(
       /*num_sources=*/8, num_triples, /*fraction_true=*/0.4,
@@ -108,27 +106,20 @@ int Main(int argc, char** argv) {
   const CorrelationModel& model = **model_or;
 
   // ---- Grouping build: scalar reference vs word-parallel. ----
-  double grouping_scalar_seconds = 0.0;
-  double grouping_word_seconds = 0.0;
+  // Each rep hands the previous grouping back to be freed untimed.
   StatusOr<PatternGrouping> scalar_grouping = Status::Internal("unset");
   StatusOr<PatternGrouping> word_grouping = Status::Internal("unset");
   ThreadPool pool(num_threads);
-  for (size_t rep = 0; rep < reps; ++rep) {
-    WallTimer scalar_timer;
-    scalar_grouping = BuildPatternGroupingScalar(dataset, model);
-    const double scalar_seconds = scalar_timer.ElapsedSeconds();
-    FUSER_CHECK(scalar_grouping.ok()) << scalar_grouping.status();
-    WallTimer word_timer;
-    word_grouping = BuildPatternGrouping(dataset, model, num_threads, &pool);
-    const double word_seconds = word_timer.ElapsedSeconds();
-    FUSER_CHECK(word_grouping.ok()) << word_grouping.status();
-    grouping_scalar_seconds =
-        rep == 0 ? scalar_seconds
-                 : std::min(grouping_scalar_seconds, scalar_seconds);
-    grouping_word_seconds =
-        rep == 0 ? word_seconds
-                 : std::min(grouping_word_seconds, word_seconds);
-  }
+  const double grouping_scalar_seconds = bench::MinSeconds(reps, [&] {
+    auto grouping = BuildPatternGroupingScalar(dataset, model);
+    FUSER_CHECK(grouping.ok()) << grouping.status();
+    return std::exchange(scalar_grouping, std::move(grouping));
+  });
+  const double grouping_word_seconds = bench::MinSeconds(reps, [&] {
+    auto grouping = BuildPatternGrouping(dataset, model, num_threads, &pool);
+    FUSER_CHECK(grouping.ok()) << grouping.status();
+    return std::exchange(word_grouping, std::move(grouping));
+  });
   bool grouping_identical =
       word_grouping->distinct == scalar_grouping->distinct &&
       word_grouping->pattern_of == scalar_grouping->pattern_of;
@@ -140,18 +131,19 @@ int Main(int argc, char** argv) {
       {MethodKind::kElastic, 50.0, 2},
   };
   std::vector<double> before_seconds(lineup.size(), 0.0);
-  std::vector<double> after_seconds(lineup.size(), 0.0);
   std::vector<std::vector<double>> before_scores(lineup.size());
+  for (size_t i = 0; i < lineup.size(); ++i) {
+    before_seconds[i] = bench::MinSeconds(reps, [&] {
+      return std::exchange(before_scores[i],
+                           LegacyScores(model, *scalar_grouping, lineup[i],
+                                        num_threads));
+    });
+  }
+  // The engine side reports its own scoring time (FusionRun.seconds),
+  // kept as the per-method minimum over the RunAll reps.
+  std::vector<double> after_seconds(lineup.size(), 0.0);
   std::vector<FusionRun> last_runs;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    for (size_t i = 0; i < lineup.size(); ++i) {
-      WallTimer timer;
-      before_scores[i] =
-          LegacyScores(model, *scalar_grouping, lineup[i], num_threads);
-      const double seconds = timer.ElapsedSeconds();
-      before_seconds[i] =
-          rep == 0 ? seconds : std::min(before_seconds[i], seconds);
-    }
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
     auto runs = engine.RunAll(lineup);
     FUSER_CHECK(runs.ok()) << runs.status();
     for (size_t i = 0; i < lineup.size(); ++i) {
@@ -209,27 +201,17 @@ int Main(int argc, char** argv) {
     if (out_scalar != out_active) kernels_identical = false;
   }
 
-  // Min-of-reps timing; the volatile sink keeps the loops from folding.
+  // The volatile sink keeps the timed loops from folding.
   volatile uint64_t sink = 0;
-  auto time_min = [&](auto&& fn) {
-    double best = 0.0;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      WallTimer timer;
-      fn();
-      const double seconds = timer.ElapsedSeconds();
-      best = rep == 0 ? seconds : std::min(best, seconds);
-    }
-    return best;
-  };
   auto time_and_count = [&](const simd::Kernels& kernels) {
-    return time_min([&] {
+    return bench::MinSeconds(reps, [&] {
       for (size_t it = 0; it < 200; ++it) {
         sink = sink + kernels.and_count(wa.data(), wb.data(), kWords);
       }
     });
   };
   auto time_transpose = [&](const simd::Kernels& kernels) {
-    return time_min([&] {
+    return bench::MinSeconds(reps, [&] {
       uint64_t cols[64];
       for (size_t block = 0; block + 64 <= kWords; block += 64) {
         kernels.transpose_bit_columns(wa.data() + block, 64, cols);
@@ -239,7 +221,7 @@ int Main(int argc, char** argv) {
   };
   auto time_gather = [&](const simd::Kernels& kernels) {
     std::vector<double> out(idx.size());
-    return time_min([&] {
+    return bench::MinSeconds(reps, [&] {
       for (size_t it = 0; it < 50; ++it) {
         kernels.gather_doubles(table.data(), idx.data(), idx.size(),
                                out.data());

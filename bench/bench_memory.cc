@@ -1,8 +1,7 @@
 // Memory-layout benchmark for the columnar arena-backed Dataset and the
 // zero-copy mmap snapshot attach path.
 //
-// Standalone binary (no google-benchmark dependency); prints one JSON
-// object so CI and scripts/check_bench.py can gate the layout:
+// Prints one JSON object so CI and scripts/check_bench.py can gate the layout:
 //
 //   ./bench_memory [full_triples] [attach_triples]
 //
@@ -29,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -251,20 +251,16 @@ int Main(int argc, char** argv) {
   Note("prepare+publish+save", phase_timer.ElapsedSeconds());
   phase_timer.Reset();
 
-  double copy_load_seconds = 0.0;
-  double mmap_attach_seconds = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    WallTimer timer;
+  const double copy_load_seconds = bench::MinSeconds(3, [&] {
     auto loaded = LoadSnapshot(path, LoadOptions{AttachMode::kCopy});
-    const double copy_s = timer.ElapsedSeconds();
     FUSER_CHECK(loaded.ok()) << loaded.status();
-    timer.Reset();
+    return loaded;
+  });
+  const double mmap_attach_seconds = bench::MinSeconds(3, [&] {
     auto attached = LoadSnapshot(path, LoadOptions{AttachMode::kMmap});
-    const double mmap_s = timer.ElapsedSeconds();
     FUSER_CHECK(attached.ok()) << attached.status();
-    if (rep == 0 || copy_s < copy_load_seconds) copy_load_seconds = copy_s;
-    if (rep == 0 || mmap_s < mmap_attach_seconds) mmap_attach_seconds = mmap_s;
-  }
+    return attached;
+  });
   const double attach_speedup =
       mmap_attach_seconds > 0.0 ? copy_load_seconds / mmap_attach_seconds
                                 : 0.0;
@@ -334,20 +330,15 @@ int Main(int argc, char** argv) {
     FUSER_CHECK(engine.PublishSnapshot({}).ok());
     const std::string big_path = "bench_memory_scale.tmp.snap";
     FUSER_CHECK(engine.SaveSnapshot(big_path).ok());
-    for (int rep = 0; rep < 3; ++rep) {
-      WallTimer timer;
+    attach_ms_at_scale = 1e3 * bench::MinSeconds(3, [&] {
       auto loaded = LoadSnapshot(big_path, LoadOptions{AttachMode::kMmap});
-      const double load_ms = timer.ElapsedMillis();
       FUSER_CHECK(loaded.ok()) << loaded.status();
-      FusionEngine warm(loaded->dataset.get(), options);
-      FUSER_CHECK(warm.WarmStart(*loaded).ok());
-      const double ms = timer.ElapsedMillis();
-      std::fprintf(stderr,
-                   "[bench_memory]   attach rep %d: load %.3fms, "
-                   "warm-start %.3fms\n",
-                   rep, load_ms, ms - load_ms);
-      if (rep == 0 || ms < attach_ms_at_scale) attach_ms_at_scale = ms;
-    }
+      auto warm =
+          std::make_unique<FusionEngine>(loaded->dataset.get(), options);
+      FUSER_CHECK(warm->WarmStart(*loaded).ok());
+      // The pair destroys the engine before the dataset it points into.
+      return std::make_pair(std::move(*loaded), std::move(warm));
+    });
     std::remove(big_path.c_str());
     Note("attach race", phase_timer.ElapsedSeconds());
   }

@@ -2,8 +2,8 @@
 // snapshot vs. the cold path (Prepare + model + grouping + serving-state
 // publish) it replaces, on a synthetic dataset, default ~100k triples.
 //
-// Standalone binary (no google-benchmark dependency); prints a single JSON
-// object so CI and scripts/check_bench.py can track the speedup:
+// Prints a single JSON object so CI and scripts/check_bench.py can track
+// the speedup:
 //
 //   ./bench_persist [num_triples] [reps]
 //
@@ -13,10 +13,12 @@
 // run aborts if identity is violated.
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/engine.h"
@@ -46,7 +48,6 @@ int Main(int argc, char** argv) {
   // dataset is ~80% of this (125k keeps it at ~100k provided triples).
   size_t num_triples = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 125000;
   int reps = argc > 2 ? static_cast<int>(std::strtol(argv[2], nullptr, 10)) : 3;
-  if (reps < 1) reps = 1;
 
   SyntheticConfig config = MakeIndependentConfig(
       /*num_sources=*/10, num_triples, /*fraction_true=*/0.4,
@@ -66,16 +67,15 @@ int Main(int argc, char** argv) {
 
   // Cold path: everything a restarted process must rebuild from the raw
   // dataset before it can serve a single query.
-  double cold_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
-    FusionEngine cold(static_cast<const Dataset*>(&ds), options);
-    FUSER_CHECK(cold.Prepare(ds.labeled_mask()).ok());
-    auto published = cold.PublishSnapshot(serving_specs);
+  // Each rep returns its engine so the teardown stays untimed.
+  const double cold_seconds = bench::MinSeconds(reps, [&] {
+    auto cold = std::make_unique<FusionEngine>(
+        static_cast<const Dataset*>(&ds), options);
+    FUSER_CHECK(cold->Prepare(ds.labeled_mask()).ok());
+    auto published = cold->PublishSnapshot(serving_specs);
     FUSER_CHECK(published.ok()) << published.status();
-    const double seconds = timer.ElapsedSeconds();
-    if (rep == 0 || seconds < cold_seconds) cold_seconds = seconds;
-  }
+    return cold;
+  });
 
   // The reference engine whose state gets persisted.
   FusionEngine original(static_cast<const Dataset*>(&ds), options);
@@ -97,15 +97,13 @@ int Main(int argc, char** argv) {
 
   // Warm path: adopt the saved state over the already-loaded dataset —
   // the direct replacement for the cold Prepare above.
-  double warm_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer timer;
-    FusionEngine warm(static_cast<const Dataset*>(&ds), options);
-    Status warmed = warm.WarmStart(path);
-    const double seconds = timer.ElapsedSeconds();
+  const double warm_seconds = bench::MinSeconds(reps, [&] {
+    auto warm = std::make_unique<FusionEngine>(
+        static_cast<const Dataset*>(&ds), options);
+    Status warmed = warm->WarmStart(path);
     FUSER_CHECK(warmed.ok()) << warmed;
-    if (rep == 0 || seconds < warm_seconds) warm_seconds = seconds;
-  }
+    return warm;
+  });
 
   // Full restart: LoadSnapshot also re-materializes the dataset itself
   // (reported separately; the cold path gets its dataset for free).

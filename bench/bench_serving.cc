@@ -1,9 +1,7 @@
 // Serving-layer benchmark: point-query latency and reader throughput
 // through FusionService, with and without a concurrent streaming writer.
 //
-// Like bench_streaming/bench_inference this is a standalone binary (no
-// google-benchmark dependency) printing one JSON object, so CI and scripts
-// can track the serving numbers:
+// Prints one JSON object so CI and scripts can track the serving numbers:
 //
 //   ./bench_serving [num_triples] [num_sources] [num_readers] [queries_per_reader]
 //

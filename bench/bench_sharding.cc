@@ -10,8 +10,8 @@
 // reduction, not parallelism, is the scaling claim: the curve holds at
 // num_threads = 1 on a single core.
 //
-// Standalone binary (no google-benchmark), single-line JSON on stdout so
-// scripts/check_bench.py can gate ingest_speedup_4 and scores_identical:
+// Single-line JSON on stdout so scripts/check_bench.py can gate
+// ingest_speedup_4 and scores_identical:
 //
 //   ./bench_sharding [num_triples] [stream_fraction] [batches_per_bucket]
 #include <algorithm>

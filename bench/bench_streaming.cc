@@ -2,9 +2,7 @@
 // full-rebuild baseline (fresh Prepare + model + grouping after every
 // batch) on a synthetic dataset, default 100k triples.
 //
-// Unlike the figure benches this is a standalone binary (no
-// google-benchmark dependency) and prints a single JSON object so CI and
-// scripts can track the speedup:
+// Prints a single JSON object so CI and scripts can track the speedup:
 //
 //   ./bench_streaming [num_triples] [num_batches] [stream_fraction]
 //

@@ -1,18 +1,23 @@
-// Shared helpers for the figure/table reproduction benches.
+// Shared helpers for the bench/ programs.
 //
-// Every bench binary prints the paper-style table(s) for its figure on
-// stdout first, then runs google-benchmark timings for the relevant code
-// paths. Absolute numbers differ from the paper (different hardware and
-// simulated datasets); the *shape* - who wins, by roughly what factor,
-// where crossovers fall - is the reproduction target. See EXPERIMENTS.md.
+// The figure and ablation benches print the paper-style table(s) for their
+// figure on stdout. Absolute numbers differ from the paper (different
+// hardware and simulated datasets); the *shape* - who wins, by roughly what
+// factor, where crossovers fall - is the reproduction target. The JSON
+// benches print one object on their last stdout line. Every figure that
+// repeats a measurement takes it through MinSeconds, so the repetition
+// policy lives in one place.
 #ifndef FUSER_BENCH_BENCH_UTIL_H_
 #define FUSER_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "core/engine.h"
 #include "model/dataset.h"
 #include "model/split.h"
@@ -20,6 +25,28 @@
 
 namespace fuser {
 namespace bench {
+
+/// The repetition policy: calls `fn` `reps` times (at least once) and
+/// returns the fastest wall time in seconds. A value `fn` returns is
+/// destroyed after the clock stops, so a callable can hand back what it
+/// built (an engine, the result it replaced) to keep its teardown untimed.
+template <typename Fn>
+double MinSeconds(int reps, Fn&& fn) {
+  double best = 0.0;
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
+    WallTimer timer;
+    double seconds = 0.0;
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
+      fn();
+      seconds = timer.ElapsedSeconds();
+    } else {
+      [[maybe_unused]] auto released_untimed = fn();
+      seconds = timer.ElapsedSeconds();
+    }
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
 
 /// The method lineup of Figure 4 (plus cosine, which the paper mentions as
 /// applicable).

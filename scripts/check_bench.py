@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """CI perf-regression gate over the checked-in bench baselines.
 
-Every standalone bench (bench_streaming, bench_inference, bench_serving,
-bench_persist) prints one JSON object; the repo checks in baselines as
-BENCH_<name>.json. This script compares a fresh run against those baselines
+Each of the eight gated benches (bench_streaming, bench_inference,
+bench_serving, bench_persist, bench_correlation, bench_sharding,
+bench_memory, bench_network) prints one JSON object; the repo checks in
+baselines as BENCH_<name>.json. This script compares a fresh run against those baselines
 and fails the build when a tracked metric regresses beyond the tolerance.
 
 Only *ratio-style* metrics (speedups: optimized-vs-baseline wall time
