@@ -11,15 +11,8 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define FUSER_NET_HAVE_EPOLL 1
-#endif
 
 #include "common/string_util.h"
 #include "core/fusion_method.h"
@@ -41,129 +34,6 @@ Status SetNonBlocking(int fd) {
     return Errno("fcntl(O_NONBLOCK)");
   }
   return Status::OK();
-}
-
-/// One ready descriptor out of Poller::Wait.
-struct PollerEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  bool error = false;
-};
-
-/// Readiness notification behind one interface so the worker loop is
-/// identical under epoll and under the portable poll() fallback.
-class Poller {
- public:
-  virtual ~Poller() = default;
-  virtual Status Add(int fd, bool want_write) = 0;
-  virtual Status Update(int fd, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  virtual Status Wait(int timeout_ms, std::vector<PollerEvent>* events) = 0;
-};
-
-#if FUSER_NET_HAVE_EPOLL
-class EpollPoller : public Poller {
- public:
-  static StatusOr<std::unique_ptr<Poller>> Create() {
-    const int fd = epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) return Errno("epoll_create1");
-    return std::unique_ptr<Poller>(new EpollPoller(fd));
-  }
-  ~EpollPoller() override { close(epoll_fd_); }
-
-  Status Add(int fd, bool want_write) override {
-    return Control(EPOLL_CTL_ADD, fd, want_write);
-  }
-  Status Update(int fd, bool want_write) override {
-    return Control(EPOLL_CTL_MOD, fd, want_write);
-  }
-  void Remove(int fd) override {
-    epoll_event ev{};
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-  Status Wait(int timeout_ms, std::vector<PollerEvent>* events) override {
-    epoll_event ready[64];
-    const int n = epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::OK();
-      return Errno("epoll_wait");
-    }
-    for (int i = 0; i < n; ++i) {
-      PollerEvent event;
-      event.fd = static_cast<int>(ready[i].data.fd);
-      event.readable = (ready[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.error = (ready[i].events & EPOLLERR) != 0;
-      events->push_back(event);
-    }
-    return Status::OK();
-  }
-
- private:
-  explicit EpollPoller(int fd) : epoll_fd_(fd) {}
-  Status Control(int op, int fd, bool want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, op, fd, &ev) < 0) return Errno("epoll_ctl");
-    return Status::OK();
-  }
-  int epoll_fd_;
-};
-#endif  // FUSER_NET_HAVE_EPOLL
-
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return Status::OK();
-  }
-  Status Update(int fd, bool want_write) override {
-    interest_[fd] = want_write;
-    return Status::OK();
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-  Status Wait(int timeout_ms, std::vector<PollerEvent>* events) override {
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, want_write] : interest_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-      fds.push_back(p);
-    }
-    const int n = poll(fds.data(), fds.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::OK();
-      return Errno("poll");
-    }
-    for (const pollfd& p : fds) {
-      if (p.revents == 0) continue;
-      PollerEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return Status::OK();
-  }
-
- private:
-  std::unordered_map<int, bool> interest_;  // fd -> want_write
-};
-
-StatusOr<std::unique_ptr<Poller>> MakePoller(bool force_poll) {
-  const char* env = std::getenv("FUSER_NET_FORCE_POLL");
-  const bool env_poll = env != nullptr && env[0] == '1';
-#if FUSER_NET_HAVE_EPOLL
-  if (!force_poll && !env_poll) return EpollPoller::Create();
-#else
-  (void)force_poll;
-  (void)env_poll;
-#endif
-  return std::unique_ptr<Poller>(new PollPoller());
 }
 
 /// The request's id is always the first payload field, so even a payload
@@ -192,12 +62,9 @@ class FusionServer::Worker {
   }
 
   Status Start() {
-    FUSER_ASSIGN_OR_RETURN(poller_,
-                           MakePoller(server_->options_.force_poll));
     if (pipe(wake_pipe_) < 0) return Errno("pipe");
     FUSER_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[0]));
     FUSER_RETURN_IF_ERROR(SetNonBlocking(wake_pipe_[1]));
-    FUSER_RETURN_IF_ERROR(poller_->Add(wake_pipe_[0], /*want_write=*/false));
     thread_ = std::thread([this] { Loop(); });
     return Status::OK();
   }
@@ -227,7 +94,6 @@ class FusionServer::Worker {
     size_t wpos = 0;
     Clock::time_point last_active;
     bool close_after_flush = false;
-    bool want_write = false;
 
     explicit Connection(size_t max_payload)
         : reader(max_payload), last_active(Clock::now()) {}
@@ -242,36 +108,45 @@ class FusionServer::Worker {
 
   void Loop() {
     const int idle_ms = server_->options_.idle_timeout_ms;
-    while (true) {
-      const bool stopping = stop_.load(std::memory_order_acquire);
-      if (stopping) {
-        Drain();
+    // Bounded wait so idle sweeps and the stop flag are checked even on a
+    // silent socket set.
+    const int wait_ms = idle_ms > 0 ? std::min(idle_ms, 50) : 50;
+    std::vector<pollfd> fds;
+    while (!stop_.load(std::memory_order_acquire)) {
+      AdoptNewConnections();
+      // The wake pipe, then every connection; POLLOUT only while a reply
+      // is still waiting for socket space.
+      fds.assign(1, pollfd{wake_pipe_[0], POLLIN, 0});
+      for (const auto& [fd, conn] : connections_) {
+        const short events = conn.pending_bytes() > 0 ? POLLIN | POLLOUT
+                                                      : POLLIN;
+        fds.push_back(pollfd{fd, events, 0});
+      }
+      if (poll(fds.data(), fds.size(), wait_ms) < 0) {
+        if (errno == EINTR) continue;
         return;
       }
-      std::vector<PollerEvent> events;
-      // Bounded wait so idle sweeps and the stop flag are checked even on
-      // a silent socket set.
-      const int wait_ms = idle_ms > 0 ? std::min(idle_ms, 50) : 50;
-      if (!poller_->Wait(wait_ms, &events).ok()) return;
-      AdoptNewConnections();
-      for (const PollerEvent& event : events) {
-        if (event.fd == wake_pipe_[0]) {
-          char scratch[256];
-          while (read(wake_pipe_[0], scratch, sizeof(scratch)) > 0) {
-          }
-          continue;
+      if (fds[0].revents != 0) {
+        char scratch[256];
+        while (read(wake_pipe_[0], scratch, sizeof(scratch)) > 0) {
         }
-        auto it = connections_.find(event.fd);
-        if (it == connections_.end()) continue;
-        Connection& conn = it->second;
-        bool alive = true;
-        if (event.error) alive = false;
-        if (alive && event.readable) alive = HandleReadable(event.fd, conn);
-        if (alive && event.writable) alive = FlushWrites(event.fd, conn);
-        if (!alive) CloseConnection(event.fd);
+      }
+      for (size_t i = 1; i < fds.size(); ++i) {
+        const pollfd& ready = fds[i];
+        if (ready.revents == 0) continue;
+        Connection& conn = connections_.at(ready.fd);
+        bool alive = (ready.revents & (POLLERR | POLLNVAL)) == 0;
+        if (alive && (ready.revents & (POLLIN | POLLHUP)) != 0) {
+          alive = HandleReadable(ready.fd, conn);
+        }
+        if (alive && (ready.revents & POLLOUT) != 0) {
+          alive = FlushWrites(ready.fd, conn);
+        }
+        if (!alive) CloseConnection(ready.fd);
       }
       if (idle_ms > 0) SweepIdle(idle_ms);
     }
+    Drain();
   }
 
   void AdoptNewConnections() {
@@ -281,12 +156,11 @@ class FusionServer::Worker {
       fresh.swap(inbox_);
     }
     for (int fd : fresh) {
-      if (!SetNonBlocking(fd).ok() ||
-          !poller_->Add(fd, /*want_write=*/false).ok()) {
+      if (SetNonBlocking(fd).ok()) {
+        connections_.emplace(fd, Connection(max_payload_bytes_));
+      } else {
         close(fd);
-        continue;
       }
-      connections_.emplace(fd, Connection(max_payload_bytes_));
     }
   }
 
@@ -328,134 +202,97 @@ class FusionServer::Worker {
     }
   }
 
+  /// Appends the request's reply frame, or a non-fatal kError carrying the
+  /// id the request's payload starts with.
   void Dispatch(const WireFrame& frame, Connection& conn) {
+    StatusOr<std::string> reply = Answer(frame);
+    if (!reply.ok()) {
+      SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
+                                             reply.status(),
+                                             /*fatal=*/false));
+      return;
+    }
+    conn.wbuf += *reply;
+    server_->requests_served_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The one request path: decode, method lookup, backend call, encoded
+  /// reply frame. Any failure along it is the status the kError carries.
+  StatusOr<std::string> Answer(const WireFrame& frame) const {
+    const ScoringBackend& backend = *server_->backend_;
     switch (frame.type) {
-      case MessageType::kScore: {
-        ScoreRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        auto scored = server_->backend_->Score(*spec, req.triple);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.score = scored->score;
-        SendReply(conn, MessageType::kScoreReply, reply.Encode());
-        return;
-      }
-      case MessageType::kScoreBatch: {
-        ScoreBatchRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        auto scored = server_->backend_->ScoreBatch(*spec, req.triples);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreBatchReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.scores = std::move(scored->scores);
-        SendReply(conn, MessageType::kScoreBatchReply, reply.Encode());
-        return;
-      }
-      case MessageType::kScoreObservation: {
-        ScoreObservationRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto spec = ParseMethodSpec(req.method);
-        if (!spec.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 spec.status(), false));
-          return;
-        }
-        AdHocObservation observation;
-        observation.providers = std::move(req.providers);
-        observation.in_scope = std::move(req.in_scope);
-        auto scored = server_->backend_->ScoreObservation(*spec, observation);
-        if (!scored.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 scored.status(), false));
-          return;
-        }
-        ScoreReply reply;
-        reply.request_id = req.request_id;
-        reply.snapshot_id = scored->snapshot_id;
-        reply.score = scored->score;
-        SendReply(conn, MessageType::kScoreObservationReply, reply.Encode());
-        return;
-      }
+      case MessageType::kScore:
+        return Scored<ScoreRequest>(
+            frame.payload,
+            [&](ScoreRequest& req,
+                const MethodSpec& spec) -> StatusOr<std::string> {
+              FUSER_ASSIGN_OR_RETURN(BackendScore scored,
+                                     backend.Score(spec, req.triple));
+              return EncodeFrame(MessageType::kScoreReply,
+                                 ScoreReply{req.request_id,
+                                            scored.snapshot_id, scored.score}
+                                     .Encode());
+            });
+      case MessageType::kScoreBatch:
+        return Scored<ScoreBatchRequest>(
+            frame.payload,
+            [&](ScoreBatchRequest& req,
+                const MethodSpec& spec) -> StatusOr<std::string> {
+              FUSER_ASSIGN_OR_RETURN(BackendBatch scored,
+                                     backend.ScoreBatch(spec, req.triples));
+              return EncodeFrame(
+                  MessageType::kScoreBatchReply,
+                  ScoreBatchReply{req.request_id, scored.snapshot_id,
+                                  std::move(scored.scores)}
+                      .Encode());
+            });
+      case MessageType::kScoreObservation:
+        return Scored<ScoreObservationRequest>(
+            frame.payload,
+            [&](ScoreObservationRequest& req,
+                const MethodSpec& spec) -> StatusOr<std::string> {
+              AdHocObservation observation;
+              observation.providers = std::move(req.providers);
+              observation.in_scope = std::move(req.in_scope);
+              FUSER_ASSIGN_OR_RETURN(
+                  BackendScore scored,
+                  backend.ScoreObservation(spec, observation));
+              return EncodeFrame(MessageType::kScoreObservationReply,
+                                 ScoreReply{req.request_id,
+                                            scored.snapshot_id, scored.score}
+                                     .Encode());
+            });
       case MessageType::kStats: {
         StatsRequest req;
-        Status decoded = req.Decode(frame.payload);
-        if (!decoded.ok()) {
-          SendError(conn, ErrorReply::FromStatus(PeekRequestId(frame.payload),
-                                                 decoded, false));
-          return;
-        }
-        auto info = server_->backend_->Info();
-        if (!info.ok()) {
-          SendError(conn, ErrorReply::FromStatus(req.request_id,
-                                                 info.status(), false));
-          return;
-        }
+        FUSER_RETURN_IF_ERROR(req.Decode(frame.payload));
+        FUSER_ASSIGN_OR_RETURN(BackendInfo info, backend.Info());
         StatsReply reply;
         reply.request_id = req.request_id;
-        reply.snapshot_id = info->snapshot_id;
-        reply.dataset_version = info->dataset_version;
-        reply.num_triples = info->num_triples;
-        reply.num_sources = info->num_sources;
-        reply.num_shards = info->num_shards;
+        reply.snapshot_id = info.snapshot_id;
+        reply.dataset_version = info.dataset_version;
+        reply.num_triples = info.num_triples;
+        reply.num_sources = info.num_sources;
+        reply.num_shards = info.num_shards;
         reply.requests_served =
             server_->requests_served_.load(std::memory_order_relaxed);
-        SendReply(conn, MessageType::kStatsReply, reply.Encode());
-        return;
+        return EncodeFrame(MessageType::kStatsReply, reply.Encode());
       }
       default:
-        SendError(conn,
-                  ErrorReply::FromStatus(
-                      PeekRequestId(frame.payload),
-                      Status::InvalidArgument(StrFormat(
-                          "unknown message type %u",
-                          static_cast<uint32_t>(frame.type))),
-                      /*fatal=*/false));
-        return;
+        return Status::InvalidArgument(
+            StrFormat("unknown message type %u",
+                      static_cast<uint32_t>(frame.type)));
     }
   }
 
-  void SendReply(Connection& conn, MessageType type,
-                 const std::string& payload) {
-    conn.wbuf += EncodeFrame(type, payload);
-    server_->requests_served_.fetch_add(1, std::memory_order_relaxed);
+  /// Decodes a scoring request, resolves its method name, and hands both
+  /// to `score`.
+  template <typename Request, typename ScoreFn>
+  static StatusOr<std::string> Scored(const std::string& payload,
+                                      ScoreFn score) {
+    Request req;
+    FUSER_RETURN_IF_ERROR(req.Decode(payload));
+    FUSER_ASSIGN_OR_RETURN(MethodSpec spec, ParseMethodSpec(req.method));
+    return score(req, spec);
   }
 
   void SendError(Connection& conn, const ErrorReply& reply) {
@@ -482,13 +319,6 @@ class FusionServer::Worker {
       conn.wbuf.clear();
       conn.wpos = 0;
       if (conn.close_after_flush) return false;
-      if (conn.want_write) {
-        conn.want_write = false;
-        (void)poller_->Update(fd, /*want_write=*/false);
-      }
-    } else if (!conn.want_write) {
-      conn.want_write = true;
-      (void)poller_->Update(fd, /*want_write=*/true);
     }
     return true;
   }
@@ -520,35 +350,32 @@ class FusionServer::Worker {
     }
     for (int fd : dead) CloseConnection(fd);
     while (Clock::now() < deadline) {
-      bool pending = false;
+      std::vector<pollfd> pending;
       dead.clear();
       for (auto& [fd, conn] : connections_) {
         if (!FlushWrites(fd, conn)) {
           dead.push_back(fd);
         } else if (conn.pending_bytes() > 0) {
-          pending = true;
+          pending.push_back(pollfd{fd, POLLOUT, 0});
         }
       }
       for (int fd : dead) CloseConnection(fd);
-      if (!pending) break;
-      std::vector<PollerEvent> events;
-      if (!poller_->Wait(20, &events).ok()) break;
+      if (pending.empty()) break;
+      if (poll(pending.data(), pending.size(), 20) < 0 && errno != EINTR) {
+        break;
+      }
     }
-    std::vector<int> all;
-    all.reserve(connections_.size());
-    for (const auto& [fd, conn] : connections_) all.push_back(fd);
-    for (int fd : all) CloseConnection(fd);
+    for (const auto& [fd, conn] : connections_) close(fd);
+    connections_.clear();
   }
 
   void CloseConnection(int fd) {
-    poller_->Remove(fd);
     close(fd);
     connections_.erase(fd);
   }
 
   FusionServer* server_;
   size_t max_payload_bytes_;
-  std::unique_ptr<Poller> poller_;
   int wake_pipe_[2] = {-1, -1};
   std::thread thread_;
   std::atomic<bool> stop_{false};
@@ -570,9 +397,18 @@ FusionServer::FusionServer(const ScoringBackend* backend,
 FusionServer::~FusionServer() { Stop(); }
 
 Status FusionServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
+  if (running_.exchange(true, std::memory_order_acq_rel)) {
     return Status::FailedPrecondition("server already running");
   }
+  stopping_.store(false, std::memory_order_release);
+  Status started = Open();
+  // The one failure-cleanup path: Stop() closes whatever Open() opened and
+  // joins whatever it spawned.
+  if (!started.ok()) Stop();
+  return started;
+}
+
+Status FusionServer::Open() {
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   const int one = 1;
@@ -583,53 +419,23 @@ Status FusionServer::Start() {
   addr.sin_port = htons(options_.port);
   if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    Status failed = Errno("bind");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return failed;
+    return Errno("bind");
   }
-  if (listen(listen_fd_, options_.listen_backlog) < 0) {
-    Status failed = Errno("listen");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return failed;
-  }
+  if (listen(listen_fd_, options_.listen_backlog) < 0) return Errno("listen");
   socklen_t addr_len = sizeof(addr);
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                   &addr_len) < 0) {
-    Status failed = Errno("getsockname");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return failed;
+    return Errno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
   FUSER_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
-  if (pipe(stop_pipe_) < 0) {
-    Status failed = Errno("pipe");
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return failed;
-  }
-
-  stopping_.store(false, std::memory_order_release);
-  workers_.clear();
+  if (pipe(stop_pipe_) < 0) return Errno("pipe");
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.push_back(
         std::make_unique<Worker>(this, options_.max_payload_bytes));
-    Status started = workers_.back()->Start();
-    if (!started.ok()) {
-      for (auto& worker : workers_) worker->RequestStop();
-      workers_.clear();
-      close(listen_fd_);
-      listen_fd_ = -1;
-      close(stop_pipe_[0]);
-      close(stop_pipe_[1]);
-      stop_pipe_[0] = stop_pipe_[1] = -1;
-      return started;
-    }
+    FUSER_RETURN_IF_ERROR(workers_.back()->Start());
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  running_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -665,19 +471,23 @@ void FusionServer::AcceptLoop() {
 void FusionServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  const char byte = 1;
-  (void)!write(stop_pipe_[1], &byte, 1);
-  if (acceptor_.joinable()) acceptor_.join();
+  if (acceptor_.joinable()) {
+    const char byte = 1;
+    (void)!write(stop_pipe_[1], &byte, 1);
+    acceptor_.join();
+  }
   // The listener closes before the workers drain: no new connections can
-  // race the drain phase.
-  close(listen_fd_);
+  // race the drain phase. Every close is guarded so that Stop() also
+  // unwinds a Start() that failed partway.
+  if (listen_fd_ >= 0) close(listen_fd_);
   listen_fd_ = -1;
   for (auto& worker : workers_) worker->RequestStop();
   for (auto& worker : workers_) worker->Join();
   workers_.clear();
-  close(stop_pipe_[0]);
-  close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
+  for (int& fd : stop_pipe_) {
+    if (fd >= 0) close(fd);
+    fd = -1;
+  }
 }
 
 ServerCounters FusionServer::counters() const {

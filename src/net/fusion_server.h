@@ -3,12 +3,13 @@
 // Architecture: one acceptor thread plus N event-loop worker threads.
 // Accepted connections are handed round-robin to workers; each worker owns
 // its connections outright (per-connection read/write buffers, idle
-// clock) and multiplexes them through a non-blocking epoll loop (poll
-// fallback on non-Linux hosts, or when FUSER_NET_FORCE_POLL=1 — CI runs
-// the suite both ways). Requests are parsed with net::FrameReader, so
-// arbitrarily fragmented frames (slow-loris writers, single-byte drips)
-// assemble correctly, and responses are written with partial-write
-// handling under EPOLLOUT.
+// clock) and multiplexes them with one non-blocking poll() loop over its
+// wake pipe and its connections. Requests are parsed with
+// net::FrameReader, so arbitrarily fragmented frames (slow-loris writers,
+// single-byte drips) assemble correctly. Every request type takes the same
+// path (decode, method lookup, backend call, reply), and a reply the
+// socket cannot take at once stays buffered, with the connection polled
+// for POLLOUT, until it can.
 //
 // Error containment, matching the wire contract (net/wire.h):
 //  * stream-integrity violations (bad magic/version, oversized length
@@ -46,7 +47,8 @@ struct FusionServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// via port()).
   uint16_t port = 0;
-  /// Event-loop worker threads (each owns an epoll/poll loop).
+  /// Event-loop worker threads, each running one poll() loop over the
+  /// connections it was handed; 0 means 1.
   size_t num_workers = 2;
   /// Frames whose length prefix exceeds this answer a fatal error.
   size_t max_payload_bytes = kDefaultMaxPayloadBytes;
@@ -55,8 +57,6 @@ struct FusionServerOptions {
   /// Bound on the graceful-drain phase of Stop().
   int drain_timeout_ms = 5000;
   int listen_backlog = 128;
-  /// Force the poll() event loop even where epoll is available.
-  bool force_poll = false;
 };
 
 /// Monotonic counters, readable while the server runs.
@@ -76,7 +76,8 @@ class FusionServer {
   FusionServer& operator=(const FusionServer&) = delete;
 
   /// Binds, listens, and spawns the acceptor + worker threads. Fails on
-  /// bind/listen errors (port in use, no permission).
+  /// bind/listen errors (port in use, no permission), after releasing
+  /// every socket, pipe and thread it had already set up.
   Status Start();
 
   /// Graceful shutdown: stop accepting, drain in-flight requests, join
@@ -94,6 +95,8 @@ class FusionServer {
  private:
   class Worker;
 
+  /// Start()'s body; on failure Start() hands what it left to Stop().
+  Status Open();
   void AcceptLoop();
 
   const ScoringBackend* backend_;

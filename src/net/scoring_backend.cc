@@ -64,10 +64,10 @@ StatusOr<BackendInfo> ShardedServiceBackend::Info() const {
   FUSER_ASSIGN_OR_RETURN(auto snapshot, service_->Acquire());
   BackendInfo info;
   info.snapshot_id = snapshot->id;
-  // Shards publish in lockstep under the router; shard 0's dataset version
-  // stands in for the corpus (the global counter lives in the router).
-  info.dataset_version =
-      snapshot->shards.empty() ? 0 : snapshot->shards[0]->dataset_version;
+  // An update batch advances only the shards it touches, so the shards'
+  // dataset versions drift apart: there is no single dataset version, as
+  // for the stitched sharded FusionRun.
+  info.dataset_version = 0;
   info.num_triples = snapshot->num_triples;
   info.num_sources = snapshot->num_sources;
   info.num_shards = num_shards_;

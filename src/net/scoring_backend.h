@@ -34,7 +34,7 @@ struct BackendBatch {
 /// What the kStats request reports about the serving state.
 struct BackendInfo {
   uint64_t snapshot_id = 0;
-  uint64_t dataset_version = 0;
+  uint64_t dataset_version = 0;  // 0 when sharded: no single version
   size_t num_triples = 0;
   size_t num_sources = 0;
   size_t num_shards = 0;  // 0 = unsharded

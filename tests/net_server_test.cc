@@ -6,8 +6,7 @@
 // event loop nor corrupt framing; clients must be able to reconnect after
 // a server restart; idle connections must be reaped; and Stop() must
 // drain pipelined requests that already reached the server. Runs under
-// ASan/UBSan and TSan in CI, and the whole file repeats under the poll()
-// event loop via the ForcePoll suite.
+// ASan/UBSan and TSan in CI.
 #include "net/fusion_server.h"
 
 #include <netinet/in.h>
@@ -21,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -269,6 +269,10 @@ TEST(FusionServerTest, ShardedBackendServesIdenticallyBehindTheSameWire) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->num_shards, 4u);
+  EXPECT_EQ(stats->snapshot_id, (*published)->id);
+  // Shards advance their dataset versions independently, so a sharded
+  // backend reports none.
+  EXPECT_EQ(stats->dataset_version, 0u);
   server.Stop();
 }
 
@@ -277,9 +281,17 @@ TEST(FusionServerTest, RequestLevelErrorsKeepTheConnectionServing) {
   FusionClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
 
-  // Unknown method.
-  auto unknown = client.Score("no-such-method", 0);
-  EXPECT_FALSE(unknown.ok());
+  // Unknown method, on every request type that names one.
+  const Status unknown[] = {
+      client.Score("no-such-method", 0).status(),
+      client.ScoreBatch("no-such-method", {0, 1}).status(),
+      client.ScoreObservation("no-such-method", {0, 1}, {}).status(),
+  };
+  for (const Status& status : unknown) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("unknown method"), std::string::npos)
+        << status;
+  }
   EXPECT_TRUE(client.connected());
 
   // Out-of-range triple.
@@ -300,29 +312,48 @@ TEST(FusionServerTest, RequestLevelErrorsKeepTheConnectionServing) {
                                       0);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(good->score, *local);
-  EXPECT_GE(harness.server->counters().errors_sent, 3u);
+  EXPECT_GE(harness.server->counters().errors_sent, 5u);
 }
 
 TEST(FusionServerTest, UnknownMessageTypeAnswersErrorAndKeepsServing) {
   ServerHarness harness;
   const int fd = RawConnect(harness.server->port());
-  StatsRequest ping;
-  ping.request_id = 99;
-  RawWriteAll(fd, EncodeFrame(static_cast<MessageType>(77), ping.Encode()));
   FrameReader reader;
-  auto frame = RawReadFrame(fd, &reader);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  ASSERT_EQ(frame->type, MessageType::kError);
-  ErrorReply error;
-  ASSERT_TRUE(error.Decode(frame->payload).ok());
-  EXPECT_EQ(error.request_id, 99u);  // id recovered from the payload
-  EXPECT_FALSE(error.fatal);
+  // Well-framed requests the server cannot answer: an unknown message
+  // type, then a payload of every request type that fails to decode. Each
+  // payload is a request id followed by three bytes no request ends with.
+  const std::pair<MessageType, uint64_t> bad_requests[] = {
+      {static_cast<MessageType>(77), 99},
+      {MessageType::kScore, 101},
+      {MessageType::kScoreBatch, 102},
+      {MessageType::kScoreObservation, 103},
+      {MessageType::kStats, 104},
+  };
+  for (const auto& [type, id] : bad_requests) {
+    SCOPED_TRACE(static_cast<uint32_t>(type));
+    StatsRequest id_only;
+    id_only.request_id = id;
+    RawWriteAll(fd, EncodeFrame(type, id_only.Encode() + "\xff\xff\xff"));
+    auto frame = RawReadFrame(fd, &reader);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    ASSERT_EQ(frame->type, MessageType::kError);
+    ErrorReply error;
+    ASSERT_TRUE(error.Decode(frame->payload).ok());
+    EXPECT_EQ(error.request_id, id);  // id recovered from the payload
+    EXPECT_FALSE(error.fatal);
 
-  // Framing was intact, so the same socket still serves real requests.
-  RawWriteAll(fd, EncodeFrame(MessageType::kStats, ping.Encode()));
-  frame = RawReadFrame(fd, &reader);
-  ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, MessageType::kStatsReply);
+    // Framing was intact, so the same socket still serves real requests.
+    StatsRequest ping;
+    ping.request_id = id + 1000;
+    RawWriteAll(fd, EncodeFrame(MessageType::kStats, ping.Encode()));
+    frame = RawReadFrame(fd, &reader);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    ASSERT_EQ(frame->type, MessageType::kStatsReply);
+    StatsReply stats;
+    ASSERT_TRUE(stats.Decode(frame->payload).ok());
+    EXPECT_EQ(stats.request_id, id + 1000);
+  }
+  EXPECT_EQ(harness.server->counters().errors_sent, 5u);
   close(fd);
 }
 
@@ -535,15 +566,6 @@ TEST(FusionServerTest, ManyConcurrentClientsAllGetIdenticalAnswers) {
     EXPECT_TRUE(failures[c].ok()) << "client " << c << ": " << failures[c];
   }
   EXPECT_EQ(harness.server->counters().connections_accepted, kClients);
-}
-
-TEST(FusionServerForcePollTest, PollEventLoopServesIdentically) {
-  FusionServerOptions options;
-  options.force_poll = true;
-  ServerHarness harness(options);
-  FusionClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
-  ExpectNetworkMatchesLocal(harness, &client);
 }
 
 }  // namespace

@@ -5,13 +5,17 @@
 // snapshots behind the live server. Every networked reply names the
 // snapshot it was answered from, and must match that snapshot's reference
 // scores byte for byte — no torn responses, no answer from a state that
-// was never published, even across the publish boundary.
+// was never published, even across the publish boundary. The writer
+// publishes its next snapshot only once a reader has recorded a reply
+// from the current one, so the storm provably reads every published
+// snapshot while the writer keeps going.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -60,6 +64,7 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
   // Reference scores per published snapshot id, written only by the main
   // (writer) thread and read only after the reader join.
   std::map<uint64_t, std::vector<std::vector<double>>> reference;
+  uint64_t last_published = 0;
   auto publish_and_record = [&]() {
     auto snapshot = engine.PublishSnapshot(specs);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
@@ -70,6 +75,7 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
       scores.push_back(std::move(run->scores));
     }
     reference.emplace((*snapshot)->id, std::move(scores));
+    last_published = (*snapshot)->id;
   };
   publish_and_record();
 
@@ -81,7 +87,8 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};
-  std::atomic<size_t> recorded{0};
+  // The newest snapshot id any reader has recorded a reply from.
+  std::atomic<uint64_t> newest_recorded{0};
   constexpr size_t kNumReaders = 4;
   std::vector<std::vector<BatchSample>> samples(kNumReaders);
   std::vector<Status> reader_errors(kNumReaders, Status::OK());
@@ -109,32 +116,45 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
           reader_errors[r] = reply.status();
           return;
         }
-        if (samples[r].size() < 300) {
-          samples[r].push_back({reply->snapshot_id, spec_index, triples,
-                                std::move(reply->scores)});
-          recorded.fetch_add(1, std::memory_order_relaxed);
+        // Past the sample cap, still keep the first reply from each
+        // snapshot so every snapshot this reader saw gets verified.
+        const uint64_t id = reply->snapshot_id;
+        if (samples[r].size() < 300 || id != samples[r].back().snapshot_id) {
+          samples[r].push_back(
+              {id, spec_index, triples, std::move(reply->scores)});
+          uint64_t seen = newest_recorded.load(std::memory_order_relaxed);
+          while (seen < id && !newest_recorded.compare_exchange_weak(
+                                  seen, id, std::memory_order_relaxed)) {
+          }
         }
       }
     });
   }
 
   // Writer: stream the suffix in micro-batches behind the live server,
-  // republishing after each.
+  // republishing after each, but only once a reader has recorded a reply
+  // from the snapshot before. Snapshot ids grow with each publish, so the
+  // newest recorded id reaching the last published one means a reply from
+  // exactly that snapshot.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto wait_for_a_reader = [&]() {
+    while (newest_recorded.load(std::memory_order_relaxed) < last_published &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
   constexpr size_t kNumBatches = 6;
   const TripleId step = std::max<TripleId>(
       1, (total - prefix + static_cast<TripleId>(kNumBatches) - 1) /
              static_cast<TripleId>(kNumBatches));
   for (TripleId lo = prefix; lo < total; lo += step) {
+    wait_for_a_reader();
     const TripleId hi = std::min<TripleId>(lo + step, total);
     ASSERT_TRUE(engine.Update(BatchForRange(final, lo, hi)).ok());
     publish_and_record();
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (recorded.load(std::memory_order_relaxed) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  wait_for_a_reader();
   done.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
   for (size_t r = 0; r < kNumReaders; ++r) {
@@ -145,6 +165,7 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
   // Every networked batch matches the reference scores of the exact
   // snapshot that answered it.
   size_t verified = 0;
+  std::set<uint64_t> verified_snapshots;
   for (const auto& reader_samples : samples) {
     for (const BatchSample& sample : reader_samples) {
       auto it = reference.find(sample.snapshot_id);
@@ -160,9 +181,16 @@ TEST(NetStressTest, NetworkedReadsMatchPublishedSnapshotsUnderStreaming) {
             << sample.triples[i];
         ++verified;
       }
+      verified_snapshots.insert(sample.snapshot_id);
     }
   }
   EXPECT_GT(verified, 0u) << "readers never completed a successful read";
+  // The interleaving the test exists for: replies from every snapshot the
+  // writer published (the initial one plus one per batch).
+  EXPECT_EQ(reference.size(), kNumBatches + 1);
+  EXPECT_EQ(verified_snapshots.size(), reference.size())
+      << "replies came from " << verified_snapshots.size() << " of "
+      << reference.size() << " published snapshots";
 
   // Graceful shutdown with readers gone and the writer idle.
   server.Stop();
