@@ -351,21 +351,59 @@ std::vector<std::vector<JointPatternDelta>> FusionEngine::ComputeClusterDeltas(
   return result;
 }
 
-Status FusionEngine::UpdateClusterStats(
-    const DatasetDelta& delta, const DynamicBitset& old_train,
-    const std::vector<TripleId>& changed_existing, CorrelationModel* model) {
-  const std::vector<std::vector<JointPatternDelta>> deltas =
-      ComputeClusterDeltas(delta, old_train, changed_existing,
-                           model->clustering);
-  for (size_t c = 0; c < deltas.size(); ++c) {
-    if (deltas[c].empty()) continue;
-    FUSER_RETURN_IF_ERROR(
-        model->cluster_stats[c]->ApplyPatternDeltas(deltas[c]));
+StatusOr<ModelUpdate> UpdateCorrelationModel(
+    const CorrelationModel* model, const std::vector<SourceQuality>& quality,
+    const std::vector<const ShardUpdateResult*>& results) {
+  if (model == nullptr) return ModelUpdate{};  // the next Run builds it
+  const ModelUpdate rebuild{nullptr, /*invalidated=*/true};
+  for (const ShardUpdateResult* result : results) {
+    if (result->invalidates_model) return rebuild;
   }
-  return Status::OK();
+  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model);
+  // Caller-supplied stats without a clone or without an incremental path
+  // (Unimplemented) rebuild lazily.
+  if (cloned.status().code() == StatusCode::kUnimplemented) return rebuild;
+  FUSER_RETURN_IF_ERROR(cloned.status());
+  auto clone = std::make_shared<CorrelationModel>(std::move(cloned).value());
+  clone->source_quality = quality;
+  for (const ShardUpdateResult* result : results) {
+    const auto& deltas = result->cluster_deltas;
+    for (size_t c = 0; c < deltas.size(); ++c) {
+      if (deltas[c].empty()) continue;
+      Status status = clone->cluster_stats[c]->ApplyPatternDeltas(deltas[c]);
+      if (status.code() == StatusCode::kUnimplemented) return rebuild;
+      FUSER_RETURN_IF_ERROR(status);
+    }
+  }
+  return ModelUpdate{std::move(clone), /*invalidated=*/false};
 }
 
 Status FusionEngine::Update(const ObservationBatch& batch) {
+  if (external_parameters_) {
+    // A shard holds only its slice of the corpus; applying a whole batch
+    // here would leave the router's global id map behind the shard.
+    return Status::FailedPrecondition(
+        "engine is router-managed; update it through its ShardedFusionEngine");
+  }
+  FUSER_ASSIGN_OR_RETURN(ShardUpdateResult result,
+                         ApplyShardBatch(batch, model_.get()));
+  // K = 1: this engine's partition quality is the global quality.
+  StatusOr<ModelUpdate> next =
+      UpdateCorrelationModel(model_.get(), result.shard_quality, {&result});
+  if (!next.ok()) {
+    // The clone may be partially updated; drop the shared inputs rather
+    // than serve a corrupt model (pinned snapshots are unaffected).
+    Install(std::move(result.shard_quality), nullptr, {});
+    return next.status();
+  }
+  if (next->invalidated) ++full_invalidations_;
+  Install(std::move(result.shard_quality), std::move(next->model),
+          result.changed_existing);
+  return Status::OK();
+}
+
+StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
+    const ObservationBatch& batch, const CorrelationModel* model) {
   if (mutable_dataset_ == nullptr) {
     return Status::FailedPrecondition(
         "Update requires an engine constructed with a mutable Dataset*");
@@ -375,12 +413,12 @@ Status FusionEngine::Update(const ObservationBatch& batch) {
   }
   FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
 
-  DatasetDelta delta;
-  FUSER_RETURN_IF_ERROR(mutable_dataset_->ApplyBatch(batch, &delta));
+  ShardUpdateResult result;
+  FUSER_RETURN_IF_ERROR(mutable_dataset_->ApplyBatch(batch, &result.delta));
   dataset_version_ = dataset_->version();
   ++updates_applied_;
 
-  const size_t old_m = delta.old_num_triples;
+  const DatasetDelta& delta = result.delta;
   const bool use_scopes = options_.model.use_scopes;
 
   // The training set grows with the stream: newly labeled triples join it
@@ -393,154 +431,29 @@ Status FusionEngine::Update(const ObservationBatch& batch) {
 
   // Source quality is one cheap bitset pass; recomputing it is exact.
   FUSER_ASSIGN_OR_RETURN(
-      quality_, EstimateSourceQuality(*dataset_, train_mask_,
-                                      options_.model.ToQualityOptions()));
-
-  if (model_ == nullptr) {
-    // Shared inputs not built yet: the next Run builds them from the
-    // updated dataset.
-    grouping_ = nullptr;
-    Publish({});
-    return Status::OK();
-  }
-
-  bool training_changed = !delta.label_changes.empty();
-  if (!training_changed) {
-    for (const auto& [s, t] : delta.new_provides) {
-      (void)s;
-      if (t < old_m && old_train.Test(t)) {
-        training_changed = true;
-        break;
-      }
-    }
-  }
-  if (!training_changed && use_scopes && !delta.scope_gains.empty()) {
-    training_changed = true;  // scope denominators shift with coverage
-  }
-
-  if (!delta.new_sources.empty() ||
-      (options_.model.enable_clustering && training_changed)) {
-    // No incremental story: new sources change the cluster partition, and
-    // with clustering enabled any training change can re-cluster. The model
-    // and grouping rebuild lazily on the next Run.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-
-  // Copy-on-write: snapshots pinned by readers keep the pre-batch model;
-  // the deltas land in a private clone that becomes the new current model
-  // only once fully updated.
-  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model_);
-  if (cloned.status().code() == StatusCode::kUnimplemented) {
-    // Caller-supplied stats without a clone: rebuild lazily.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-  if (!cloned.ok()) {
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return cloned.status();
-  }
-  auto next_model = std::make_shared<CorrelationModel>(std::move(*cloned));
-  next_model->source_quality = quality_;
-
-  const std::vector<TripleId> changed_existing =
-      CollectChangedExisting(delta, use_scopes);
-
-  Status stats_status =
-      UpdateClusterStats(delta, old_train, changed_existing,
-                         next_model.get());
-  if (stats_status.code() == StatusCode::kUnimplemented) {
-    // Caller-supplied stats without an incremental path: rebuild lazily.
-    model_ = nullptr;
-    grouping_ = nullptr;
-    ++full_invalidations_;
-    Publish({});
-    return Status::OK();
-  }
-  if (!stats_status.ok()) {
-    // The clone may be partially updated; drop the shared inputs rather
-    // than serve a corrupt model (pinned snapshots are unaffected).
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return stats_status;
-  }
-  model_ = std::move(next_model);
-
-  if (grouping_ != nullptr) {
-    // Same copy-on-write for the grouping: append/remap in a copy so the
-    // published grouping (shared with pinned snapshots) never moves.
-    auto next_grouping = std::make_shared<PatternGrouping>(*grouping_);
-    Status grouping_status = UpdatePatternGrouping(
-        *dataset_, *model_, changed_existing, next_grouping.get());
-    if (grouping_status.ok()) {
-      grouping_ = std::move(next_grouping);
-    } else {
-      grouping_ = nullptr;  // degrade to a lazy rebuild
-      ++full_invalidations_;
-    }
-  }
-  Publish({});
-  return Status::OK();
-}
-
-StatusOr<ShardUpdateResult> FusionEngine::ApplyShardBatch(
-    const ObservationBatch& batch, const CorrelationModel* model) {
-  if (mutable_dataset_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ApplyShardBatch requires an engine constructed with a mutable "
-        "Dataset*");
-  }
-  if (!prepared_) {
-    return Status::FailedPrecondition("call Prepare before ApplyShardBatch");
-  }
-  FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
-
-  ShardUpdateResult result;
-  FUSER_RETURN_IF_ERROR(mutable_dataset_->ApplyBatch(batch, &result.delta));
-  dataset_version_ = dataset_->version();
-  ++updates_applied_;
-
-  const DatasetDelta& delta = result.delta;
-  const size_t old_m = delta.old_num_triples;
-  const bool use_scopes = options_.model.use_scopes;
-
-  // Same training-set growth rule as Update.
-  DynamicBitset old_train = train_mask_;
-  train_mask_.Resize(dataset_->num_triples());
-  for (const auto& [t, old_label] : delta.label_changes) {
-    if (old_label == Label::kUnknown) train_mask_.Set(t);
-  }
-
-  FUSER_ASSIGN_OR_RETURN(
       result.shard_quality,
       EstimateSourceQuality(*dataset_, train_mask_,
                             options_.model.ToQualityOptions()));
 
-  result.training_changed = !delta.label_changes.empty();
-  if (!result.training_changed) {
+  // The model has no incremental story for new sources (they change the
+  // cluster partition) or, with clustering enabled, for any training
+  // change (it can re-cluster).
+  auto training_changed = [&]() {
+    if (!delta.label_changes.empty()) return true;
+    // Scope denominators shift with coverage.
+    if (use_scopes && !delta.scope_gains.empty()) return true;
     for (const auto& [s, t] : delta.new_provides) {
       (void)s;
-      if (t < old_m && old_train.Test(t)) {
-        result.training_changed = true;
-        break;
-      }
+      if (t < delta.old_num_triples && old_train.Test(t)) return true;
     }
-  }
-  if (!result.training_changed && use_scopes && !delta.scope_gains.empty()) {
-    result.training_changed = true;
-  }
+    return false;
+  };
+  result.invalidates_model =
+      !delta.new_sources.empty() ||
+      (options_.model.enable_clustering && training_changed());
 
   result.changed_existing = CollectChangedExisting(delta, use_scopes);
-  if (model != nullptr) {
+  if (model != nullptr && !result.invalidates_model) {
     result.cluster_deltas = ComputeClusterDeltas(
         delta, old_train, result.changed_existing, model->clustering);
   }
@@ -556,34 +469,35 @@ Status FusionEngine::AdoptParameters(
   }
   external_parameters_ = true;
   dataset_version_ = dataset_->version();
+  Install(std::move(quality), std::move(model), changed_existing);
+  return Status::OK();
+}
+
+void FusionEngine::Install(std::vector<SourceQuality> quality,
+                           std::shared_ptr<const CorrelationModel> model,
+                           const std::vector<TripleId>& changed_existing) {
   quality_ = std::move(quality);
-  if (model == nullptr) {
-    model_ = nullptr;
-    grouping_ = nullptr;
-    Publish({});
-    return Status::OK();
-  }
   model_ = std::move(model);
-  if (grouping_ != nullptr) {
-    const bool untouched =
-        grouping_->num_triples == dataset_->num_triples() &&
-        changed_existing.empty() &&
-        grouping_->model_fingerprint == ModelGroupingFingerprint(*model_);
-    if (!untouched) {
-      // Copy-on-write like Update: pinned snapshots keep the old grouping.
-      auto next_grouping = std::make_shared<PatternGrouping>(*grouping_);
-      Status grouping_status = UpdatePatternGrouping(
-          *dataset_, *model_, changed_existing, next_grouping.get());
-      if (grouping_status.ok()) {
-        grouping_ = std::move(next_grouping);
-      } else {
-        grouping_ = nullptr;  // degrade to a lazy rebuild
-        ++full_invalidations_;
-      }
+  if (model_ == nullptr) {
+    grouping_ = nullptr;
+  } else if (grouping_ != nullptr &&
+             (grouping_->num_triples != dataset_->num_triples() ||
+              !changed_existing.empty() ||
+              grouping_->model_fingerprint !=
+                  ModelGroupingFingerprint(*model_))) {
+    // Copy-on-write: the published grouping (shared with pinned snapshots)
+    // never moves; new triples join existing patterns in the copy.
+    auto next_grouping = std::make_shared<PatternGrouping>(*grouping_);
+    Status grouping_status = UpdatePatternGrouping(
+        *dataset_, *model_, changed_existing, next_grouping.get());
+    if (grouping_status.ok()) {
+      grouping_ = std::move(next_grouping);
+    } else {
+      grouping_ = nullptr;  // degrade to a lazy rebuild
+      ++full_invalidations_;
     }
   }
   Publish({});
-  return Status::OK();
 }
 
 Status FusionEngine::EnsureModel() {

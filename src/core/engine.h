@@ -24,6 +24,11 @@
 // FusionService facade in serving/ — and keep scoring against it while
 // this engine ingests further batches; Update clones the model and the
 // grouping before applying deltas, so published state never moves.
+//
+// Update is the K=1 case of the one streaming-update path: ApplyShardBatch,
+// then the model step UpdateCorrelationModel, then the grouping step. A
+// ShardedFusionEngine runs the same steps over K shard engines, which then
+// take batches only from it.
 #ifndef FUSER_CORE_ENGINE_H_
 #define FUSER_CORE_ENGINE_H_
 
@@ -47,6 +52,7 @@
 namespace fuser {
 
 struct LoadedSnapshot;  // src/persist/snapshot_io.h
+class ShardedFusionEngine;  // src/shard/sharded_engine.h
 
 /// Output of one method execution.
 struct FusionRun {
@@ -62,26 +68,51 @@ struct FusionRun {
   double seconds = 0.0;
 };
 
-/// Result of the shard half of a router-coordinated streaming update
-/// (see shard/sharded_engine.h): everything the router needs to merge
-/// global parameters across shards. ApplyShardBatch produces it without
-/// publishing and without recomputing this engine's own parameters;
-/// AdoptParameters finishes the update once the router has merged.
+/// The first half of every streaming update: what one batch did to one
+/// partition of the corpus, produced by FusionEngine::ApplyShardBatch
+/// without touching the engine's quality/model/grouping or publishing.
+/// FusionEngine::Update (K=1) and ShardedFusionEngine::Update (the dirty
+/// shards) pass their results to UpdateCorrelationModel.
 struct ShardUpdateResult {
   DatasetDelta delta;
-  /// The batch changed this shard's training contribution (label changes,
-  /// new provides on training triples, or scope gains under use_scopes).
-  bool training_changed = false;
+  /// The correlation model must rebuild lazily: the batch added sources
+  /// (the cluster partition changes), or, with enable_clustering, it
+  /// changed this partition's training contribution (label changes, new
+  /// provides on training triples, or scope gains under use_scopes), which
+  /// can re-cluster.
+  bool invalidates_model = false;
   /// Existing triples whose provider/scope masks changed.
   std::vector<TripleId> changed_existing;
   /// Exact per-cluster pattern-count deltas against the clustering of the
-  /// model passed to ApplyShardBatch (empty when no model was passed).
+  /// model passed to ApplyShardBatch (empty when no model was passed or
+  /// invalidates_model is set).
   std::vector<std::vector<JointPatternDelta>> cluster_deltas;
   /// Post-batch per-source quality of this shard's partition. Only the raw
   /// counts are meaningful globally: merge across shards with
   /// MergeQualityCounts and finalize with FinalizeQualityFromCounts.
   std::vector<SourceQuality> shard_quality;
 };
+
+/// The model step's outcome: the correlation model to install next.
+struct ModelUpdate {
+  /// A clone of the current model carrying the new quality and every
+  /// cluster delta, or null when the model rebuilds lazily.
+  std::shared_ptr<const CorrelationModel> model;
+  /// The current model was dropped for a lazy rebuild (a full
+  /// invalidation). False when there was no model to update.
+  bool invalidated = false;
+};
+
+/// The model step of every streaming update. Copy-on-write: `model` (which
+/// pinned snapshots may share) is never modified. Returns a null model when
+/// `model` is null (nothing built yet); a null model, invalidated, when any
+/// of the dirty partitions' `results` invalidates the model or the joint
+/// stats have no clone or no incremental path (Unimplemented); otherwise a
+/// clone with `quality` and every result's cluster deltas folded in. Any
+/// other clone or delta failure is returned as is.
+StatusOr<ModelUpdate> UpdateCorrelationModel(
+    const CorrelationModel* model, const std::vector<SourceQuality>& quality,
+    const std::vector<const ShardUpdateResult*>& results);
 
 /// Decision and ranking quality of a run on an evaluation set. When the
 /// eval mask is single-class (all true or all false), ranked curves are
@@ -135,7 +166,11 @@ class FusionEngine {
   ///    with enable_clustering any training change can re-cluster (see
   ///    full_invalidations()).
   ///
-  /// Requires the mutable constructor and a prior Prepare.
+  /// Runs ApplyShardBatch, UpdateCorrelationModel and the grouping step in
+  /// turn. Requires the mutable constructor and a prior Prepare. Fails with
+  /// FailedPrecondition on a router-managed engine (one that has adopted
+  /// parameters from a ShardedFusionEngine): it holds one shard of the
+  /// corpus, and only the router can route a batch to it.
   Status Update(const ObservationBatch& batch);
 
   // ---- Sharded operation (driven by shard/ShardedFusionEngine) ----------
@@ -144,25 +179,27 @@ class FusionEngine {
   /// per-shard datasets).
   const Dataset* dataset() const { return dataset_; }
 
-  /// The shard half of Update: applies the batch to this shard's dataset,
-  /// extends the train mask, and returns the per-shard integer statistics
-  /// the router merges globally — without touching this engine's
-  /// quality/model/grouping and without publishing. `model` (may be null)
-  /// supplies the clustering the per-cluster pattern deltas are computed
-  /// against; the router applies them to its own clone. Must be followed
-  /// by AdoptParameters before this engine serves again.
+  /// The first half of every Update: applies the batch to this engine's
+  /// dataset, extends the train mask, decides whether the model must
+  /// rebuild, and returns the per-partition integer statistics — without
+  /// touching this engine's quality/model/grouping and without publishing.
+  /// `model` (may be null) supplies the clustering the per-cluster pattern
+  /// deltas are computed against; they are skipped when the model must
+  /// rebuild anyway. Update calls it on itself; a shard router calls it on
+  /// every dirty shard and must follow with AdoptParameters before the
+  /// shard serves again.
   StatusOr<ShardUpdateResult> ApplyShardBatch(const ObservationBatch& batch,
                                               const CorrelationModel* model);
 
-  /// Installs router-merged global parameters: per-source quality and
-  /// (optionally) the correlation model shared by every shard. A null
-  /// model drops the cached model/grouping (the router rebuilds lazily).
-  /// With a model, the cached grouping is maintained incrementally against
-  /// `changed_existing` (triples whose masks changed) or kept as-is when
-  /// nothing relevant changed — the near-free path for shards a batch did
-  /// not touch. Publishes the new state. Marks the engine router-managed:
-  /// EnsureModel no longer builds from the shard-local dataset (which
-  /// would be globally wrong) but fails until the next adoption.
+  /// The router's second half of an update: installs router-merged global
+  /// quality and (optionally) the correlation model shared by every shard,
+  /// runs Update's grouping step against `changed_existing` (triples whose
+  /// masks changed), and publishes. A null model drops the cached
+  /// model/grouping (the router rebuilds lazily); a shard the batch did not
+  /// touch keeps its grouping as-is — the near-free path. Marks the engine
+  /// router-managed: Update fails, and EnsureModel no longer builds from
+  /// the shard-local dataset (which would be globally wrong) but fails
+  /// until the next adoption.
   Status AdoptParameters(std::vector<SourceQuality> quality,
                          std::shared_ptr<const CorrelationModel> model,
                          const std::vector<TripleId>& changed_existing);
@@ -279,6 +316,9 @@ class FusionEngine {
   size_t full_invalidations() const { return full_invalidations_; }
 
  private:
+  // Marks the shard engines it warm-starts router-managed.
+  friend class ShardedFusionEngine;
+
   using ServingMap =
       std::unordered_map<std::string, std::shared_ptr<const MethodServing>>;
 
@@ -308,26 +348,29 @@ class FusionEngine {
   /// Existing triples whose provider or scope masks changed in `delta`.
   std::vector<TripleId> CollectChangedExisting(const DatasetDelta& delta,
                                                bool use_scopes) const;
-  /// Exact per-cluster pattern-count deltas for a just-applied batch (the
-  /// delta-computation half of UpdateClusterStats, shared with
-  /// ApplyShardBatch). Reads the post-batch dataset and train_mask_.
+  /// Exact per-cluster pattern-count deltas for a just-applied batch.
+  /// Reads the post-batch dataset and train_mask_.
   std::vector<std::vector<JointPatternDelta>> ComputeClusterDeltas(
       const DatasetDelta& delta, const DynamicBitset& old_train,
       const std::vector<TripleId>& changed_existing,
       const SourceClustering& clustering) const;
-  /// Folds exact pattern-count deltas into `model`'s per-cluster joint
-  /// stats (the writer's private clone, never a published model).
-  Status UpdateClusterStats(const DatasetDelta& delta,
-                            const DynamicBitset& old_train,
-                            const std::vector<TripleId>& changed_existing,
-                            CorrelationModel* model);
+  /// The last step of every update: installs `quality` and `model`, brings
+  /// the cached grouping in line with `model` (the grouping step), and
+  /// publishes. The grouping is kept as-is when nothing it depends on
+  /// changed, updated in a copy (pinned snapshots keep the old one) against
+  /// `changed_existing` otherwise, and dropped for a lazy rebuild when the
+  /// update fails or `model` is null.
+  void Install(std::vector<SourceQuality> quality,
+               std::shared_ptr<const CorrelationModel> model,
+               const std::vector<TripleId>& changed_existing);
 
   const Dataset* dataset_;
   Dataset* mutable_dataset_ = nullptr;  // non-null iff streaming-capable
   EngineOptions options_;
   bool prepared_ = false;
-  /// Set by AdoptParameters: this engine's model is router-managed and must
-  /// never be built from the shard-local dataset.
+  /// Set by AdoptParameters and ShardedFusionEngine::WarmStart: this engine
+  /// is router-managed. Its model is never built from the shard-local
+  /// dataset, and batches reach it only through ApplyShardBatch.
   bool external_parameters_ = false;
   uint64_t dataset_version_ = 0;
   DynamicBitset train_mask_;

@@ -124,41 +124,34 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
   FUSER_ASSIGN_OR_RETURN(RoutedBatch routed, corpus_.RouteBatch(batch));
   const size_t num_shards = engines_.size();
 
-  // New sources are not covered by the current clustering, so pattern
-  // deltas against it would be meaningless (and their provider masks
-  // unrepresentable) — the model is invalidated below anyway.
-  const CorrelationModel* delta_model =
-      routed.new_sources.empty() ? model_.get() : nullptr;
-
   std::vector<ShardUpdateResult> results(num_shards);
   std::vector<Status> statuses(num_shards);
-  std::vector<char> applied(num_shards, 0);
   ForEachShard([&](size_t k) {
     if (!routed.dirty[k]) return;
     StatusOr<ShardUpdateResult> result =
-        engines_[k]->ApplyShardBatch(routed.per_shard[k], delta_model);
+        engines_[k]->ApplyShardBatch(routed.per_shard[k], model_.get());
     if (!result.ok()) {
       statuses[k] = result.status();
       return;
     }
     results[k] = std::move(result).value();
-    applied[k] = 1;
   });
   for (const Status& s : statuses) FUSER_RETURN_IF_ERROR(s);
 
   std::vector<const DatasetDelta*> deltas(num_shards, nullptr);
+  std::vector<const ShardUpdateResult*> dirty;
   for (size_t k = 0; k < num_shards; ++k) {
-    if (applied[k]) deltas[k] = &results[k].delta;
+    if (!routed.dirty[k]) continue;
+    deltas[k] = &results[k].delta;
+    dirty.push_back(&results[k]);
   }
   FUSER_RETURN_IF_ERROR(corpus_.CommitRoute(routed, deltas));
   ++updates_applied_;
 
   // Extend the global training mask exactly as the shards extended theirs.
   train_mask_.Resize(corpus_.num_triples());
-  bool training_changed = false;
   for (size_t k = 0; k < num_shards; ++k) {
-    if (!applied[k]) continue;
-    training_changed |= results[k].training_changed;
+    if (!routed.dirty[k]) continue;
     for (const auto& change : results[k].delta.label_changes) {
       if (change.second == Label::kUnknown) {
         train_mask_.Set(corpus_.GlobalOf(k, change.first));
@@ -168,78 +161,19 @@ Status ShardedFusionEngine::Update(const ObservationBatch& batch) {
   }
   FUSER_RETURN_IF_ERROR(MergeQuality());
 
-  // Adopts the merged quality with no model into every shard; the model is
-  // rebuilt lazily by the next caller that needs it.
-  auto adopt_no_model = [&]() -> Status {
-    model_ = nullptr;
-    for (size_t k = 0; k < num_shards; ++k) {
-      FUSER_RETURN_IF_ERROR(
-          engines_[k]->AdoptParameters(quality_, nullptr, kNoChangedExisting));
-    }
-    return Status::OK();
-  };
-
-  if (model_ == nullptr) {
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return Status::OK();
-  }
-
-  // Same invalidation conditions as FusionEngine::Update: the cluster
-  // partition can change with new sources, and with clustering enabled any
-  // training change can re-cluster.
-  if (!routed.new_sources.empty() ||
-      (options_.model.enable_clustering && training_changed)) {
-    ++full_invalidations_;
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return Status::OK();
-  }
-
-  // Incremental path: clone the global model once, fold every dirty
-  // shard's exact pattern-count deltas into the clone, adopt everywhere.
-  StatusOr<CorrelationModel> cloned = CloneCorrelationModel(*model_);
-  if (!cloned.ok()) {
-    if (cloned.status().code() == StatusCode::kUnimplemented) {
-      ++full_invalidations_;
-      FUSER_RETURN_IF_ERROR(adopt_no_model());
-      PublishCurrent();
-      return Status::OK();
-    }
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return cloned.status();
-  }
-  auto next = std::make_shared<CorrelationModel>(std::move(cloned).value());
-  next->source_quality = quality_;
-  Status stats_status = Status::OK();
-  for (size_t k = 0; k < num_shards && stats_status.ok(); ++k) {
-    if (!applied[k]) continue;
-    const auto& cluster_deltas = results[k].cluster_deltas;
-    for (size_t c = 0; c < cluster_deltas.size() && stats_status.ok(); ++c) {
-      if (cluster_deltas[c].empty()) continue;
-      stats_status = next->cluster_stats[c]->ApplyPatternDeltas(cluster_deltas[c]);
-    }
-  }
-  if (!stats_status.ok()) {
-    if (stats_status.code() == StatusCode::kUnimplemented) {
-      ++full_invalidations_;
-      FUSER_RETURN_IF_ERROR(adopt_no_model());
-      PublishCurrent();
-      return Status::OK();
-    }
-    FUSER_RETURN_IF_ERROR(adopt_no_model());
-    PublishCurrent();
-    return stats_status;
-  }
-  model_ = std::move(next);
+  // The unsharded engine's model step over every dirty shard's result; on
+  // failure the model is dropped (rebuilt lazily) and the error returned.
+  StatusOr<ModelUpdate> next =
+      UpdateCorrelationModel(model_.get(), quality_, dirty);
+  model_ = next.ok() ? next->model : nullptr;
+  if (next.ok() && next->invalidated) ++full_invalidations_;
   for (size_t k = 0; k < num_shards; ++k) {
     FUSER_RETURN_IF_ERROR(engines_[k]->AdoptParameters(
         quality_, model_,
-        applied[k] ? results[k].changed_existing : kNoChangedExisting));
+        routed.dirty[k] ? results[k].changed_existing : kNoChangedExisting));
   }
   PublishCurrent();
-  return Status::OK();
+  return next.status();
 }
 
 Status ShardedFusionEngine::EnsureGlobalModel() {
@@ -497,6 +431,8 @@ StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
       new ShardedFusionEngine(std::move(corpus), options));
   for (size_t k = 0; k < num_shards; ++k) {
     FUSER_RETURN_IF_ERROR(engine->engines_[k]->WarmStart(loaded[k]));
+    // The saved parameters are router-merged, as if adopted.
+    engine->engines_[k]->external_parameters_ = true;
   }
 
   // The saved options govern all estimation; the thread budget stays the

@@ -18,14 +18,19 @@
 //      PairwiseCorrelationsFromCounts, MergeJointStatsStates), and
 //   4. pushes the merged parameters back into every shard
 //      (FusionEngine::AdoptParameters), which then scores its own triples
-//      with the stock method implementations.
+//      with the stock method implementations. Shard engines are
+//      router-managed from then on: FusionEngine::Update on one fails, and
+//      batches reach it only through the router.
 //
 // Methods whose scores couple triples across the corpus (cosine,
 // 3-estimates, LTM — iterative fixed points) cannot be stitched this way
 // and return Unimplemented (FusionMethod::shardable).
 //
-// Streaming Update routes each micro-batch to the shards that own its
-// domains; untouched shards pay one near-free AdoptParameters (a quality
+// Streaming Update is FusionEngine::Update's one update path run over K
+// shards: each dirty shard applies its slice (FusionEngine::ApplyShardBatch),
+// the router merges their counts and runs the same model step
+// (UpdateCorrelationModel) over all of their results, and every shard adopts
+// the result. Untouched shards pay one near-free AdoptParameters (a quality
 // vector copy plus a snapshot publish) instead of re-running estimation,
 // which is where the aggregate ingest speedup at K shards comes from
 // (bench/bench_sharding.cc).
@@ -82,12 +87,11 @@ class ShardedFusionEngine {
 
   /// Streaming ingestion, byte-identical to FusionEngine::Update on the
   /// unsharded corpus: routes the batch to the owning shards, merges their
-  /// per-shard statistics, and either maintains the global model
-  /// incrementally (cloned once, per-shard pattern deltas folded in) or
-  /// invalidates it for a lazy rebuild under exactly the unsharded
-  /// engine's conditions (new sources; any training change when clustering
-  /// is enabled). Shards the batch does not touch only adopt the refreshed
-  /// global quality.
+  /// per-shard statistics, and runs the unsharded engine's model step over
+  /// every dirty shard's result — the global model is cloned once with all
+  /// pattern deltas folded in, or dropped for a lazy rebuild on exactly the
+  /// same batches (full_invalidations() equals the unsharded count). Shards
+  /// the batch does not touch only adopt the refreshed global quality.
   Status Update(const ObservationBatch& batch);
 
   /// Runs one shardable method on every shard and stitches the per-shard

@@ -4,13 +4,16 @@
 // is the snapshot contract itself: every successful read must match, byte
 // for byte, the reference scores of the exact snapshot it was answered
 // from — no torn reads, no drift, no serving state that belongs to no
-// published snapshot. Run under TSan in CI, this also proves the
-// reader/writer paths race-free.
+// published snapshot. The writer publishes its next snapshot only once a
+// reader has recorded a read from the current one, so the readers provably
+// read every published snapshot while the writer keeps going. Run under
+// TSan in CI, this also proves the reader/writer paths race-free.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -65,6 +68,7 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
   // serving_test). Readers never touch this map; it is only read after
   // join.
   std::map<uint64_t, std::vector<std::vector<double>>> reference;
+  uint64_t last_published = 0;
   auto publish_and_record = [&]() {
     auto snapshot = engine.PublishSnapshot(specs);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
@@ -75,15 +79,16 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
       scores.push_back(std::move(run->scores));
     }
     reference.emplace((*snapshot)->id, std::move(scores));
+    last_published = (*snapshot)->id;
   };
   publish_and_record();
 
   std::atomic<bool> done{false};
-  // Readers bump this on every recorded point sample so the writer can
-  // hold the world open until at least one read landed — on a loaded
-  // single-core runner the writer can otherwise finish all its batches
-  // before any reader thread is ever scheduled.
-  std::atomic<size_t> recorded{0};
+  // The newest snapshot id any reader has recorded a point read from. The
+  // writer waits on it before moving on — on a loaded single-core runner
+  // it could otherwise finish all its batches before any reader thread is
+  // ever scheduled.
+  std::atomic<uint64_t> newest_recorded{0};
   constexpr size_t kNumReaders = 4;
   std::vector<std::vector<PointSample>> point_samples(kNumReaders);
   std::vector<std::vector<AdHocSample>> adhoc_samples(kNumReaders);
@@ -94,6 +99,17 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
       Rng rng(1000 + r);
       std::vector<PointSample>& points = point_samples[r];
       std::vector<AdHocSample>& adhocs = adhoc_samples[r];
+      // Past the sample cap, still keep the first read from each snapshot
+      // so every snapshot this reader saw gets verified.
+      auto keep = [&](uint64_t id) {
+        return points.size() < 400 || id != points.back().snapshot_id;
+      };
+      auto note = [&](uint64_t id) {
+        uint64_t seen = newest_recorded.load(std::memory_order_relaxed);
+        while (seen < id && !newest_recorded.compare_exchange_weak(
+                                seen, id, std::memory_order_relaxed)) {
+        }
+      };
       while (!done.load(std::memory_order_relaxed)) {
         auto snapshot_or = service.Acquire();
         if (!snapshot_or.ok()) continue;
@@ -104,9 +120,9 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
         const TripleId t = static_cast<TripleId>(
             rng.NextBounded(snapshot->num_triples));
         auto one = service.Score(*snapshot, spec, t);
-        if (one.ok() && points.size() < 400) {
+        if (one.ok() && keep(snapshot->id)) {
           points.push_back({snapshot->id, spec_index, t, *one});
-          recorded.fetch_add(1, std::memory_order_relaxed);
+          note(snapshot->id);
         }
         // Small batch query; every element must agree with Score.
         std::vector<TripleId> batch_ids;
@@ -115,12 +131,12 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
               rng.NextBounded(snapshot->num_triples)));
         }
         auto batch = service.ScoreBatch(*snapshot, spec, batch_ids);
-        if (batch.ok() && points.size() < 400) {
+        if (batch.ok() && keep(snapshot->id)) {
           for (size_t i = 0; i < batch_ids.size(); ++i) {
             points.push_back(
                 {snapshot->id, spec_index, batch_ids[i], (*batch)[i]});
           }
-          recorded.fetch_add(batch_ids.size(), std::memory_order_relaxed);
+          note(snapshot->id);
         }
         // Ad-hoc observation (pattern methods only), synthesized from
         // source ids alone — readers must never touch the mutating
@@ -137,29 +153,37 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
   }
 
   // Writer: stream the suffix in micro-batches, republishing after each.
-  const size_t kNumBatches = 6;
+  // Republish only once a reader has recorded a read from the snapshot
+  // before (bounded, so a genuine serving bug still fails instead of
+  // hanging). Snapshot ids grow with each publish, so the newest recorded
+  // id reaching the last published one means a read from exactly that
+  // snapshot.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto wait_for_a_reader = [&]() {
+    while (newest_recorded.load(std::memory_order_relaxed) < last_published &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  constexpr size_t kNumBatches = 6;
   const TripleId step = std::max<TripleId>(
       1, (total - prefix + static_cast<TripleId>(kNumBatches) - 1) /
              static_cast<TripleId>(kNumBatches));
   for (TripleId lo = prefix; lo < total; lo += step) {
+    wait_for_a_reader();
     const TripleId hi = std::min<TripleId>(lo + step, total);
     ASSERT_TRUE(engine.Update(BatchForRange(final, lo, hi)).ok());
     publish_and_record();
   }
-  // Keep serving until at least one read landed (generously bounded so a
-  // genuine serving bug still fails instead of hanging).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (recorded.load(std::memory_order_relaxed) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  wait_for_a_reader();
   done.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
 
   // Every point read matches the reference scores of the snapshot it was
   // answered from, exactly.
   size_t verified = 0;
+  std::set<uint64_t> verified_snapshots;
   for (const auto& samples : point_samples) {
     for (const PointSample& sample : samples) {
       auto it = reference.find(sample.snapshot_id);
@@ -171,9 +195,16 @@ TEST(ServingStressTest, ReadsMatchPublishedSnapshotsUnderConcurrentUpdates) {
           << "snapshot " << sample.snapshot_id << " spec "
           << specs[sample.spec_index].Name() << " triple " << sample.triple;
       ++verified;
+      verified_snapshots.insert(sample.snapshot_id);
     }
   }
   EXPECT_GT(verified, 0u) << "readers never completed a successful read";
+  // The interleaving the test exists for: reads from every snapshot the
+  // writer published (the initial one plus one per batch).
+  EXPECT_EQ(reference.size(), kNumBatches + 1);
+  EXPECT_EQ(verified_snapshots.size(), reference.size())
+      << "reads came from " << verified_snapshots.size() << " of "
+      << reference.size() << " published snapshots";
 
   // Ad-hoc answers are stable: re-scoring the same observation on the
   // still-pinned snapshot reproduces the concurrent answer exactly.

@@ -169,6 +169,9 @@ void StreamingEquivalence(Variant variant, uint32_t num_shards,
     auto expected = unsharded.RunAll(ShardableLineup());
     ASSERT_TRUE(expected.ok()) << expected.status();
     ExpectRunsIdentical(*streamed, *expected);
+    // Both engines run one update path, so they drop the model for a lazy
+    // rebuild on exactly the same batches.
+    EXPECT_EQ((*sharded)->full_invalidations(), unsharded.full_invalidations());
   }
   EXPECT_EQ((*sharded)->num_triples(), final_ds.num_triples());
 
@@ -201,6 +204,7 @@ void StreamingEquivalence(Variant variant, uint32_t num_shards,
   auto expected = unsharded.RunAll(ShardableLineup());
   ASSERT_TRUE(expected.ok()) << expected.status();
   ExpectRunsIdentical(*streamed, *expected);
+  EXPECT_EQ((*sharded)->full_invalidations(), unsharded.full_invalidations());
 }
 
 TEST(ShardedStreamingTest, PlainMatchesUnsharded) {
@@ -221,6 +225,58 @@ TEST(ShardedStreamingTest, SingleShardMatchesUnsharded) {
 
 TEST(ShardedStreamingTest, EightShardsMatchUnsharded) {
   StreamingEquivalence(Variant::kScoped, 8, /*num_threads=*/2);
+}
+
+TEST(ShardedStreamingTest, ShardEnginesRefuseDirectUpdates) {
+  Dataset final_ds = MakeDataset(Variant::kScoped, /*seed=*/1601);
+  const TripleId total = static_cast<TripleId>(final_ds.num_triples());
+  const TripleId prefix = total / 2;
+  const EngineOptions options = MakeOptions(Variant::kScoped);
+
+  auto unsharded_prefix = PrefixDataset(final_ds, prefix);
+  ASSERT_TRUE(unsharded_prefix.ok()) << unsharded_prefix.status();
+  Dataset unsharded_ds = std::move(*unsharded_prefix);
+  FusionEngine unsharded(&unsharded_ds, options);
+  ASSERT_TRUE(unsharded.Prepare(unsharded_ds.labeled_mask()).ok());
+
+  auto sharded_prefix = PrefixDataset(final_ds, prefix);
+  ASSERT_TRUE(sharded_prefix.ok()) << sharded_prefix.status();
+  auto sharded = ShardedFusionEngine::Create(*sharded_prefix,
+                                             ShardingOptions{4}, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_TRUE((*sharded)->Prepare(sharded_prefix->labeled_mask()).ok());
+
+  // A shard engine holds one slice of the corpus: a whole batch applied to
+  // it directly would leave the router's id map behind the shard.
+  const ObservationBatch batch = BatchForRange(final_ds, prefix, total);
+  FusionEngine* shard = (*sharded)->shard_engine(0);
+  const size_t shard_triples = shard->dataset()->num_triples();
+  Status direct = shard->Update(batch);
+  EXPECT_EQ(direct.code(), StatusCode::kFailedPrecondition) << direct;
+  EXPECT_EQ(shard->dataset()->num_triples(), shard_triples);
+  EXPECT_EQ(shard->updates_applied(), 0u);
+
+  // The router's own path is unharmed.
+  ASSERT_TRUE(unsharded.Update(batch).ok());
+  Status updated = (*sharded)->Update(batch);
+  ASSERT_TRUE(updated.ok()) << updated;
+  auto streamed = (*sharded)->RunAll(ShardableLineup());
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  auto expected = unsharded.RunAll(ShardableLineup());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ExpectRunsIdentical(*streamed, *expected);
+
+
+  // Shards of a warm-started sharded engine are router-managed too.
+  const std::string path = TempPath("sharded_guard.snap");
+  ASSERT_TRUE((*sharded)->SaveSnapshot(path).ok());
+  auto warm = ShardedFusionEngine::WarmStart(path, options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  FusionEngine* warm_shard = (*warm)->shard_engine(0);
+  const size_t warm_triples = warm_shard->dataset()->num_triples();
+  direct = warm_shard->Update(BatchForRange(final_ds, 0, prefix));
+  EXPECT_EQ(direct.code(), StatusCode::kFailedPrecondition) << direct;
+  EXPECT_EQ(warm_shard->dataset()->num_triples(), warm_triples);
 }
 
 TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {

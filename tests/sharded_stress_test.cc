@@ -6,13 +6,16 @@
 // match, byte for byte, the reference scores of the exact ShardedSnapshot
 // (and thus the exact per-shard FusionSnapshots it pins) it was answered
 // from — no torn reads across shards, no read served from a mix of
-// publication generations. Run under TSan in CI, this also proves the
-// scatter-gather read path and the chunked shard map race-free.
+// publication generations. The writer publishes its next snapshot only
+// once a reader has recorded a read from the current one, so the readers
+// provably read every published snapshot. Run under TSan in CI, this also
+// proves the scatter-gather read path and the chunked shard map race-free.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,6 +74,7 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
   // Reference scores per published sharded snapshot id, recorded by the
   // writer right after each publish; readers never touch this map.
   std::map<uint64_t, std::vector<std::vector<double>>> reference;
+  uint64_t last_published = 0;
   auto publish_and_record = [&]() {
     auto snapshot = engine.PublishSnapshot(specs);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
@@ -79,11 +83,13 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
     std::vector<std::vector<double>> scores;
     for (FusionRun& run : *runs) scores.push_back(std::move(run.scores));
     reference.emplace((*snapshot)->id, std::move(scores));
+    last_published = (*snapshot)->id;
   };
   publish_and_record();
 
   std::atomic<bool> done{false};
-  std::atomic<size_t> recorded{0};
+  // The newest sharded snapshot id any reader has recorded a read from.
+  std::atomic<uint64_t> newest_recorded{0};
   constexpr size_t kNumReaders = 4;
   std::vector<std::vector<PointSample>> point_samples(kNumReaders);
   std::vector<std::vector<PinnedSample>> pinned_samples(kNumReaders);
@@ -94,6 +100,17 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
       Rng rng(2000 + r);
       std::vector<PointSample>& points = point_samples[r];
       std::vector<PinnedSample>& pinned = pinned_samples[r];
+      // Past the sample cap, still keep the first read from each snapshot
+      // so every snapshot this reader saw gets verified.
+      auto keep = [&](uint64_t id) {
+        return points.size() < 400 || id != points.back().snapshot_id;
+      };
+      auto note = [&](uint64_t id) {
+        uint64_t seen = newest_recorded.load(std::memory_order_relaxed);
+        while (seen < id && !newest_recorded.compare_exchange_weak(
+                                seen, id, std::memory_order_relaxed)) {
+        }
+      };
       while (!done.load(std::memory_order_relaxed)) {
         auto snapshot_or = service.Acquire();
         if (!snapshot_or.ok()) continue;
@@ -104,9 +121,9 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
         const TripleId t =
             static_cast<TripleId>(rng.NextBounded(snapshot->num_triples));
         auto one = service.Score(*snapshot, spec, t);
-        if (one.ok() && points.size() < 400) {
+        if (one.ok() && keep(snapshot->id)) {
           points.push_back({snapshot->id, spec_index, t, *one});
-          recorded.fetch_add(1, std::memory_order_relaxed);
+          note(snapshot->id);
         }
         // Merged batch query spanning several shards; request order must
         // survive the scatter-gather.
@@ -117,12 +134,12 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
         }
         auto batch = service.ScoreBatch(*snapshot, spec, batch_ids);
         if (batch.ok()) {
-          if (points.size() < 400) {
+          if (keep(snapshot->id)) {
             for (size_t i = 0; i < batch_ids.size(); ++i) {
               points.push_back(
                   {snapshot->id, spec_index, batch_ids[i], (*batch)[i]});
             }
-            recorded.fetch_add(batch_ids.size(), std::memory_order_relaxed);
+            note(snapshot->id);
           }
           if (pinned.size() < 50) {
             pinned.push_back({snapshot, spec_index, batch_ids, *batch});
@@ -134,27 +151,37 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
 
   // Writer: stream the suffix in micro-batches through the router (each
   // Update fans out to all dirty shard engines), republishing after each.
-  const size_t kNumBatches = 6;
+  // Republish only once a reader has recorded a read from the snapshot
+  // before (bounded, so a genuine serving bug still fails instead of
+  // hanging). Snapshot ids grow with each publish, so the newest recorded
+  // id reaching the last published one means a read from exactly that
+  // snapshot.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto wait_for_a_reader = [&]() {
+    while (newest_recorded.load(std::memory_order_relaxed) < last_published &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  constexpr size_t kNumBatches = 6;
   const TripleId step = std::max<TripleId>(
       1, (total - prefix + static_cast<TripleId>(kNumBatches) - 1) /
              static_cast<TripleId>(kNumBatches));
   for (TripleId lo = prefix; lo < total; lo += step) {
+    wait_for_a_reader();
     const TripleId hi = std::min<TripleId>(lo + step, total);
     ASSERT_TRUE(engine.Update(BatchForRange(final, lo, hi)).ok());
     publish_and_record();
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (recorded.load(std::memory_order_relaxed) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  wait_for_a_reader();
   done.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
 
   // Every merged read matches the reference scores of the sharded snapshot
   // it was answered from, exactly.
   size_t verified = 0;
+  std::set<uint64_t> verified_snapshots;
   for (const auto& samples : point_samples) {
     for (const PointSample& sample : samples) {
       auto it = reference.find(sample.snapshot_id);
@@ -166,9 +193,16 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
           << "snapshot " << sample.snapshot_id << " spec "
           << specs[sample.spec_index].Name() << " triple " << sample.triple;
       ++verified;
+      verified_snapshots.insert(sample.snapshot_id);
     }
   }
   EXPECT_GT(verified, 0u) << "readers never completed a successful read";
+  // The interleaving the test exists for: reads from every snapshot the
+  // writer published (the initial one plus one per batch).
+  EXPECT_EQ(reference.size(), kNumBatches + 1);
+  EXPECT_EQ(verified_snapshots.size(), reference.size())
+      << "reads came from " << verified_snapshots.size() << " of "
+      << reference.size() << " published snapshots";
 
   // Pinned batches replay exactly: re-answering from the still-pinned
   // per-shard snapshots reproduces every concurrent answer byte for byte,
