@@ -226,11 +226,12 @@ class FusionServer::Worker {
             frame.payload,
             [&](ScoreRequest& req,
                 const MethodSpec& spec) -> StatusOr<std::string> {
-              FUSER_ASSIGN_OR_RETURN(BackendScore scored,
-                                     backend.Score(spec, req.triple));
+              // A point read is a batch of one.
+              FUSER_ASSIGN_OR_RETURN(BackendBatch scored,
+                                     backend.ScoreBatch(spec, {req.triple}));
               return EncodeFrame(MessageType::kScoreReply,
-                                 ScoreReply{req.request_id,
-                                            scored.snapshot_id, scored.score}
+                                 ScoreReply{req.request_id, scored.snapshot_id,
+                                            scored.scores[0]}
                                      .Encode());
             });
       case MessageType::kScoreBatch:

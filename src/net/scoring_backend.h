@@ -1,16 +1,19 @@
 // ScoringBackend: the one interface FusionServer serves.
 //
 // The server does not care whether queries are answered by a single
-// FusionService or fan out across a ShardedFusionService — both adapters
-// below implement the same four calls the wire protocol exposes. Each call
-// pins exactly one published snapshot (RCU-style, like the services
-// themselves) and reports its id, so a response can always be traced to
-// the precise state that produced it even while a streaming writer keeps
-// publishing. Implementations are const and thread-safe: every server
-// worker thread calls them concurrently.
+// FusionService or routed across a ShardedFusionService: both adapters
+// below implement the same three calls, and both share one pinned-read
+// implementation (PinnedReadBackend) that differs only in Info. A wire
+// point read (kScore) is a ScoreBatch of one triple. Each call pins exactly
+// one published snapshot (RCU-style, like the services themselves) and
+// reports its id, so a response can always be traced to the precise state
+// that produced it even while a streaming writer keeps publishing.
+// Implementations are const and thread-safe: every server worker thread
+// calls them concurrently.
 #ifndef FUSER_NET_SCORING_BACKEND_H_
 #define FUSER_NET_SCORING_BACKEND_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -44,8 +47,6 @@ class ScoringBackend {
  public:
   virtual ~ScoringBackend() = default;
 
-  virtual StatusOr<BackendScore> Score(const MethodSpec& spec,
-                                       TripleId t) const = 0;
   virtual StatusOr<BackendBatch> ScoreBatch(
       const MethodSpec& spec, const std::vector<TripleId>& triples) const = 0;
   virtual StatusOr<BackendScore> ScoreObservation(
@@ -53,48 +54,63 @@ class ScoringBackend {
   virtual StatusOr<BackendInfo> Info() const = 0;
 };
 
-/// Adapter over a FusionService (one engine). Each call acquires the
-/// latest servable snapshot and answers entirely from it.
-class ServiceBackend : public ScoringBackend {
+/// The reads of both adapters: acquire the service's latest servable
+/// snapshot, answer entirely from it through the service's static query,
+/// and tag the answer with the snapshot's id. `Service` is FusionService
+/// or ShardedFusionService.
+template <typename Service>
+class PinnedReadBackend : public ScoringBackend {
  public:
   /// `service` must outlive the backend.
-  explicit ServiceBackend(const FusionService* service) : service_(service) {}
+  explicit PinnedReadBackend(const Service* service) : service_(service) {}
 
-  StatusOr<BackendScore> Score(const MethodSpec& spec,
-                               TripleId t) const override;
   StatusOr<BackendBatch> ScoreBatch(
       const MethodSpec& spec,
-      const std::vector<TripleId>& triples) const override;
+      const std::vector<TripleId>& triples) const override {
+    return Pinned<BackendBatch>([&](const auto& snapshot) {
+      return Service::ScoreBatch(snapshot, spec, triples);
+    });
+  }
   StatusOr<BackendScore> ScoreObservation(
       const MethodSpec& spec,
-      const AdHocObservation& observation) const override;
-  StatusOr<BackendInfo> Info() const override;
+      const AdHocObservation& observation) const override {
+    return Pinned<BackendScore>([&](const auto& snapshot) {
+      return Service::ScoreObservation(snapshot, spec, observation);
+    });
+  }
+
+ protected:
+  const Service* service_;
 
  private:
-  const FusionService* service_;
+  template <typename Reply, typename Read>
+  StatusOr<Reply> Pinned(Read read) const {
+    FUSER_ASSIGN_OR_RETURN(auto snapshot, service_->Acquire());
+    FUSER_ASSIGN_OR_RETURN(auto value, read(*snapshot));
+    return Reply{snapshot->id, std::move(value)};
+  }
+};
+
+/// Adapter over a FusionService (one engine).
+class ServiceBackend : public PinnedReadBackend<FusionService> {
+ public:
+  using PinnedReadBackend::PinnedReadBackend;
+
+  StatusOr<BackendInfo> Info() const override;
 };
 
 /// Adapter over a ShardedFusionService: same contract, one pinned
 /// ShardedSnapshot per call (its id is the router's publication counter).
-class ShardedServiceBackend : public ScoringBackend {
+class ShardedServiceBackend : public PinnedReadBackend<ShardedFusionService> {
  public:
   /// `service` must outlive the backend; `num_shards` is reported by Info.
   ShardedServiceBackend(const ShardedFusionService* service,
                         size_t num_shards)
-      : service_(service), num_shards_(num_shards) {}
+      : PinnedReadBackend(service), num_shards_(num_shards) {}
 
-  StatusOr<BackendScore> Score(const MethodSpec& spec,
-                               TripleId t) const override;
-  StatusOr<BackendBatch> ScoreBatch(
-      const MethodSpec& spec,
-      const std::vector<TripleId>& triples) const override;
-  StatusOr<BackendScore> ScoreObservation(
-      const MethodSpec& spec,
-      const AdHocObservation& observation) const override;
   StatusOr<BackendInfo> Info() const override;
 
  private:
-  const ShardedFusionService* service_;
   size_t num_shards_;
 };
 

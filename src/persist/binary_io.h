@@ -1,4 +1,5 @@
-// Bounds-checked binary encoding primitives for the snapshot format.
+// Bounds-checked binary encoding primitives for the snapshot format, and
+// the durable file replace every on-disk writer goes through.
 //
 // Everything on disk is little-endian and fixed-width; doubles are raw
 // IEEE-754 bits (the persistence contract is *byte* identity of restored
@@ -13,7 +14,9 @@
 #define FUSER_PERSIST_BINARY_IO_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "common/bitset.h"
@@ -37,6 +40,14 @@ uint64_t Checksum64(const void* data, size_t size,
 /// before committing to consume it.
 uint32_t LoadU32LE(const void* p);
 uint64_t LoadU64LE(const void* p);
+
+/// Replaces `path` so that a crash leaves either the old file or the whole
+/// new one: `write` fills `path + ".tmp"`, which is flushed, fsynced and
+/// renamed over `path`; then the directory is fsynced (best effort) so the
+/// rename itself is durable. On any failure, the rename's included, the
+/// temp file is removed and `path` is untouched.
+Status WriteFileDurably(const std::string& path,
+                        const std::function<Status(std::FILE*)>& write);
 
 /// Append-only little-endian encoder.
 class ByteSink {

@@ -13,11 +13,6 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/mmap_file.h"
 #include "core/fusion_method.h"
 #include "core/joint_stats.h"
@@ -1379,76 +1374,34 @@ Status SaveSnapshot(const std::string& path, const Dataset& dataset,
     return header.data();
   };
 
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + tmp);
-  }
-  auto fail = [&](Status status) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return status;
-  };
-
   // Pass 1: header with a placeholder dataset checksum, the small
   // payloads, then the streamed dataset payload (checksummed on the way
   // out). Pass 2 seeks back and rewrites the header with the real value.
-  FileSectionWriter writer(out);
-  writer.BeginSection();
-  const std::string placeholder_header = build_header(0);
-  Status status = writer.Write(placeholder_header.data(),
-                               placeholder_header.size());
-  for (const auto& [id, payload] : small_sections) {
-    (void)id;
-    if (!status.ok()) break;
-    status = writer.Write(payload.data(), payload.size());
-  }
-  if (!status.ok()) return fail(status);
-  writer.BeginSection();
-  status = WriteDatasetSection(dataset, layout, scalars, providers,
-                               domain_sources, domain_triples, &writer);
-  if (!status.ok()) return fail(status);
-  if (writer.section_bytes() != layout.total) {
-    return fail(Status::Internal("dataset section size accounting bug"));
-  }
-
-  const std::string final_header = build_header(writer.section_checksum());
-  if (std::fseek(out, 0, SEEK_SET) != 0 ||
-      std::fwrite(final_header.data(), 1, final_header.size(), out) !=
-          final_header.size()) {
-    return fail(Status::IoError("header rewrite failed: " + tmp));
-  }
-  if (std::fflush(out) != 0) {
-    return fail(Status::IoError("flush failed: " + tmp));
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // The rename below may hit disk before the data does; without this
-  // fsync a power loss in the writeback window could replace a previously
-  // good snapshot with a truncated one.
-  if (fsync(fileno(out)) != 0) {
-    return fail(Status::IoError("fsync failed: " + tmp));
-  }
-#endif
-  if (std::fclose(out) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("close failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // Best-effort directory sync so the rename itself is durable.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dir_fd = open(dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    fsync(dir_fd);
-    close(dir_fd);
-  }
-#endif
-  return Status::OK();
+  return persist::WriteFileDurably(path, [&](std::FILE* out) -> Status {
+    FileSectionWriter writer(out);
+    writer.BeginSection();
+    const std::string placeholder_header = build_header(0);
+    FUSER_RETURN_IF_ERROR(
+        writer.Write(placeholder_header.data(), placeholder_header.size()));
+    for (const auto& [id, payload] : small_sections) {
+      (void)id;
+      FUSER_RETURN_IF_ERROR(writer.Write(payload.data(), payload.size()));
+    }
+    writer.BeginSection();
+    FUSER_RETURN_IF_ERROR(WriteDatasetSection(dataset, layout, scalars,
+                                              providers, domain_sources,
+                                              domain_triples, &writer));
+    if (writer.section_bytes() != layout.total) {
+      return Status::Internal("dataset section size accounting bug");
+    }
+    const std::string final_header = build_header(writer.section_checksum());
+    if (std::fseek(out, 0, SEEK_SET) != 0 ||
+        std::fwrite(final_header.data(), 1, final_header.size(), out) !=
+            final_header.size()) {
+      return Status::IoError("header rewrite failed: " + path + ".tmp");
+    }
+    return Status::OK();
+  });
 }
 
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path) {

@@ -99,8 +99,9 @@ struct LoadedSnapshot {
 /// (save right after Prepare/Update/PublishSnapshot, before further
 /// mutation). Only empirical correlation models can be persisted; a model
 /// with caller-supplied (explicit) statistics returns Unimplemented. The
-/// file is written to `path + ".tmp"` and renamed, so a crash mid-save
-/// never leaves a half-written snapshot at `path`.
+/// file is written through persist::WriteFileDurably (temp file, fsync,
+/// rename, directory fsync), so a crash mid-save never leaves a
+/// half-written snapshot at `path`, and a failed save leaves no temp file.
 Status SaveSnapshot(const std::string& path, const Dataset& dataset,
                     const DynamicBitset& train_mask,
                     const FusionSnapshot& snapshot);

@@ -6,18 +6,6 @@ namespace fuser {
 
 namespace {
 
-StatusOr<const MethodServing*> FindServing(const FusionSnapshot& snapshot,
-                                           const MethodSpec& spec) {
-  const MethodServing* serving = snapshot.FindServing(spec.Name());
-  if (serving == nullptr) {
-    return Status::FailedPrecondition(
-        spec.Name() +
-        ": not materialized in this snapshot; publish it with "
-        "FusionEngine::PublishSnapshot first");
-  }
-  return serving;
-}
-
 /// One cluster's combine input for an ad-hoc observation: the same
 /// PatternLogEntry the posterior table stores. Known patterns read the
 /// table; unseen patterns run the snapshot's scorer with the same clamping
@@ -47,25 +35,24 @@ FusionService::FusionService(const FusionEngine* engine) : engine_(engine) {}
 
 StatusOr<std::shared_ptr<const FusionSnapshot>> FusionService::Acquire()
     const {
-  // Prefer the latest *servable* snapshot: between an Update and the
-  // writer's next PublishSnapshot the engine's current snapshot carries no
-  // serving entries yet, and readers should keep answering from the last
-  // materialized state instead of failing through that window.
-  std::shared_ptr<const FusionSnapshot> snapshot =
-      engine_->CurrentServableSnapshot();
-  if (snapshot == nullptr) snapshot = engine_->CurrentSnapshot();
-  if (snapshot == nullptr) {
+  return PinServableSnapshot(*engine_);
+}
+
+StatusOr<const MethodServing*> FusionService::FindServing(
+    const FusionSnapshot& snapshot, const std::string& name) {
+  const MethodServing* serving = snapshot.FindServing(name);
+  if (serving == nullptr) {
     return Status::FailedPrecondition(
-        "engine has published no snapshot; call Prepare first");
+        name + ": not materialized in this snapshot; publish it with "
+               "FusionEngine::PublishSnapshot first");
   }
-  return snapshot;
+  return serving;
 }
 
 StatusOr<double> FusionService::Score(const FusionSnapshot& snapshot,
-                                      const MethodSpec& spec,
-                                      TripleId t) const {
+                                      const MethodSpec& spec, TripleId t) {
   FUSER_ASSIGN_OR_RETURN(const MethodServing* serving,
-                         FindServing(snapshot, spec));
+                         FindServing(snapshot, spec.Name()));
   if (static_cast<size_t>(t) >= snapshot.num_triples) {
     return Status::InvalidArgument(
         "triple id outside this snapshot's range (added later?)");
@@ -78,9 +65,9 @@ StatusOr<double> FusionService::Score(const FusionSnapshot& snapshot,
 
 StatusOr<std::vector<double>> FusionService::ScoreBatch(
     const FusionSnapshot& snapshot, const MethodSpec& spec,
-    const std::vector<TripleId>& triples) const {
+    const std::vector<TripleId>& triples) {
   FUSER_ASSIGN_OR_RETURN(const MethodServing* serving,
-                         FindServing(snapshot, spec));
+                         FindServing(snapshot, spec.Name()));
   std::vector<double> scores(triples.size());
   for (size_t i = 0; i < triples.size(); ++i) {
     const TripleId t = triples[i];
@@ -98,9 +85,9 @@ StatusOr<std::vector<double>> FusionService::ScoreBatch(
 
 StatusOr<double> FusionService::ScoreObservation(
     const FusionSnapshot& snapshot, const MethodSpec& spec,
-    const AdHocObservation& observation) const {
+    const AdHocObservation& observation) {
   FUSER_ASSIGN_OR_RETURN(const MethodServing* serving,
-                         FindServing(snapshot, spec));
+                         FindServing(snapshot, spec.Name()));
   if (!serving->pattern_based) {
     return Status::Unimplemented(
         spec.Name() + ": method does not support ad-hoc observations "
@@ -160,27 +147,6 @@ StatusOr<double> FusionService::ScoreObservation(
     acc.Add(entry);
   }
   return acc.Posterior(serving->table.alpha);
-}
-
-StatusOr<double> FusionService::Score(const MethodSpec& spec,
-                                      TripleId t) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return Score(*snapshot, spec, t);
-}
-
-StatusOr<std::vector<double>> FusionService::ScoreBatch(
-    const MethodSpec& spec, const std::vector<TripleId>& triples) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return ScoreBatch(*snapshot, spec, triples);
-}
-
-StatusOr<double> FusionService::ScoreObservation(
-    const MethodSpec& spec, const AdHocObservation& observation) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
-                         Acquire());
-  return ScoreObservation(*snapshot, spec, observation);
 }
 
 }  // namespace fuser

@@ -10,10 +10,11 @@
 //     mutex-guarded shared_ptr copy). Any number of reader threads may
 //     acquire and score concurrently while the writer thread keeps calling
 //     FusionEngine::Update / PublishSnapshot.
-//   * Every query overload that takes a snapshot answers from exactly that
-//     snapshot: results are stable for as long as the caller keeps it
-//     pinned, no matter what the writer does. The overloads without a
-//     snapshot acquire the latest one per call.
+//   * Every query takes the snapshot it answers from: results are stable
+//     for as long as the caller keeps it pinned, no matter what the writer
+//     does. The queries are static — they read only the snapshot, never
+//     the engine — and ShardedFusionService answers each shard's share of
+//     a read through them.
 //   * Answers are byte-identical to FusionEngine::Run on the same
 //     snapshot: ScoreBatch over all triples reproduces Run's score vector
 //     exactly, for every registered method, at every thread count.
@@ -28,6 +29,7 @@
 #define FUSER_SERVING_FUSION_SERVICE_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -49,32 +51,52 @@ struct AdHocObservation {
   std::vector<SourceId> in_scope;
 };
 
+/// The pin rule of both services: the engine's latest *servable* snapshot
+/// (the newest publish that carries serving entries), so reads never fail
+/// through the writer's Update→PublishSnapshot window; before any
+/// materialization, the latest published snapshot; before the engine's
+/// first Prepare, FailedPrecondition. `Engine` is FusionEngine or
+/// ShardedFusionEngine.
+template <typename Engine>
+auto PinServableSnapshot(const Engine& engine)
+    -> StatusOr<decltype(engine.CurrentSnapshot())> {
+  auto snapshot = engine.CurrentServableSnapshot();
+  if (snapshot == nullptr) snapshot = engine.CurrentSnapshot();
+  if (snapshot == nullptr) {
+    return Status::FailedPrecondition(
+        "engine has published no snapshot; call Prepare first");
+  }
+  return snapshot;
+}
+
 class FusionService {
  public:
   /// `engine` must outlive the service. The service holds no mutable
-  /// state: all methods are const and thread-safe.
+  /// state: Acquire and the static queries are thread-safe.
   explicit FusionService(const FusionEngine* engine);
 
-  /// Pins the engine's latest *servable* snapshot — the newest publish
-  /// that carries serving entries — so reads never fail through the
-  /// writer's Update→PublishSnapshot window; before any materialization it
-  /// falls back to the latest published snapshot. Fails only before the
-  /// engine's first Prepare.
+  /// Pins the engine's snapshot by PinServableSnapshot's rule.
   StatusOr<std::shared_ptr<const FusionSnapshot>> Acquire() const;
+
+  /// The serving state of the method named `name` (a MethodSpec::Name())
+  /// in `snapshot`; FailedPrecondition when the snapshot was not published
+  /// with it materialized.
+  static StatusOr<const MethodServing*> FindServing(
+      const FusionSnapshot& snapshot, const std::string& name);
 
   /// Posterior of triple `t` under `spec`, answered from `snapshot`.
   /// O(num_clusters) for pattern-serving methods, O(1) for the rest.
   /// Fails when `spec` is not materialized in the snapshot or `t` is
   /// outside the snapshot's triple range.
-  StatusOr<double> Score(const FusionSnapshot& snapshot,
-                         const MethodSpec& spec, TripleId t) const;
+  static StatusOr<double> Score(const FusionSnapshot& snapshot,
+                                const MethodSpec& spec, TripleId t);
 
   /// Batched form of Score: one posterior per requested triple, in order.
   /// Over all of the snapshot's triples the result is byte-identical to
   /// FusionEngine::Run(spec).scores on the same snapshot.
-  StatusOr<std::vector<double>> ScoreBatch(
+  static StatusOr<std::vector<double>> ScoreBatch(
       const FusionSnapshot& snapshot, const MethodSpec& spec,
-      const std::vector<TripleId>& triples) const;
+      const std::vector<TripleId>& triples);
 
   /// Posterior of an ad-hoc observation under `spec`. Patterns the
   /// snapshot's grouping already knows are answered from the posterior
@@ -82,16 +104,9 @@ class FusionService {
   /// scorer and combined with the same arithmetic, so an observation that
   /// mirrors an existing triple scores byte-identically to Score on that
   /// triple. Pattern-serving methods only (Unimplemented otherwise).
-  StatusOr<double> ScoreObservation(const FusionSnapshot& snapshot,
-                                    const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
-
-  /// Convenience overloads against the latest published snapshot.
-  StatusOr<double> Score(const MethodSpec& spec, TripleId t) const;
-  StatusOr<std::vector<double>> ScoreBatch(
-      const MethodSpec& spec, const std::vector<TripleId>& triples) const;
-  StatusOr<double> ScoreObservation(const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
+  static StatusOr<double> ScoreObservation(
+      const FusionSnapshot& snapshot, const MethodSpec& spec,
+      const AdHocObservation& observation);
 
  private:
   const FusionEngine* engine_;

@@ -12,28 +12,6 @@ namespace {
 
 constexpr char kMagic[8] = {'F', 'U', 'S', 'R', 'M', 'A', 'N', 'I'};
 
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + tmp);
-  }
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), out) != bytes.size()) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return Status::IoError("short write: " + tmp);
-  }
-  if (std::fclose(out) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("close failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string ShardSnapshotPath(const std::string& path, size_t shard) {
@@ -59,7 +37,12 @@ Status WriteShardManifest(const std::string& path,
     for (TripleId global : map) sink.WriteU32(global);
   }
   sink.WriteU64(persist::Checksum64(sink.data().data(), sink.size()));
-  return WriteFileAtomic(path, sink.data());
+  return persist::WriteFileDurably(path, [&](std::FILE* out) -> Status {
+    if (std::fwrite(sink.data().data(), 1, sink.size(), out) != sink.size()) {
+      return Status::IoError("short write: " + path + ".tmp");
+    }
+    return Status::OK();
+  });
 }
 
 StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {

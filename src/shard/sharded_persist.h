@@ -47,7 +47,8 @@ struct ShardManifest {
 /// Path of shard k's snapshot file for the manifest at `path`.
 std::string ShardSnapshotPath(const std::string& path, size_t shard);
 
-/// Writes the manifest atomically (tmp + rename).
+/// Writes the manifest through persist::WriteFileDurably, as SaveSnapshot
+/// writes a snapshot.
 Status WriteShardManifest(const std::string& path,
                           const ShardManifest& manifest);
 

@@ -1,6 +1,6 @@
 #include "shard/sharded_service.h"
 
-#include <utility>
+#include <string>
 
 namespace fuser {
 
@@ -17,48 +17,33 @@ Status CheckShardSnapshot(const ShardedSnapshot& snapshot, size_t shard) {
 }  // namespace
 
 ShardedFusionService::ShardedFusionService(const ShardedFusionEngine* engine)
-    : engine_(engine) {
-  services_.reserve(engine->num_shards());
-  for (size_t k = 0; k < engine->num_shards(); ++k) {
-    services_.emplace_back(&engine->shard_engine(k));
-  }
-}
+    : engine_(engine) {}
 
 StatusOr<std::shared_ptr<const ShardedSnapshot>> ShardedFusionService::Acquire()
     const {
-  std::shared_ptr<const ShardedSnapshot> snapshot =
-      engine_->CurrentServableSnapshot();
-  if (snapshot == nullptr) snapshot = engine_->CurrentSnapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "no published snapshot: call Prepare first");
-  }
-  return snapshot;
-}
-
-StatusOr<double> ShardedFusionService::Score(const ShardedSnapshot& snapshot,
-                                             const MethodSpec& spec,
-                                             TripleId t) const {
-  if (t >= snapshot.num_triples) {
-    return Status::InvalidArgument("triple id outside the snapshot");
-  }
-  const ShardLocation loc = snapshot.Locate(t);
-  FUSER_RETURN_IF_ERROR(CheckShardSnapshot(snapshot, loc.shard));
-  return services_[loc.shard].Score(*snapshot.shards[loc.shard], spec,
-                                    loc.local);
+  return PinServableSnapshot(*engine_);
 }
 
 StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
     const ShardedSnapshot& snapshot, const MethodSpec& spec,
-    const std::vector<TripleId>& triples) const {
+    const std::vector<TripleId>& triples) {
+  // Resolve the method in every shard before the scatter, so an
+  // unmaterialized method fails whatever the batch holds, as unsharded.
+  const std::string name = spec.Name();
   const size_t num_shards = snapshot.shards.size();
+  for (size_t k = 0; k < num_shards; ++k) {
+    FUSER_RETURN_IF_ERROR(CheckShardSnapshot(snapshot, k));
+    FUSER_RETURN_IF_ERROR(
+        FusionService::FindServing(*snapshot.shards[k], name).status());
+  }
   // Scatter: per-shard local ids plus each query's position in the request.
   std::vector<std::vector<TripleId>> locals(num_shards);
   std::vector<std::vector<size_t>> positions(num_shards);
   for (size_t i = 0; i < triples.size(); ++i) {
     const TripleId t = triples[i];
     if (t >= snapshot.num_triples) {
-      return Status::InvalidArgument("triple id outside the snapshot");
+      return Status::InvalidArgument(
+          "triple id outside this snapshot's range (added later?)");
     }
     const ShardLocation loc = snapshot.Locate(t);
     locals[loc.shard].push_back(loc.local);
@@ -68,10 +53,9 @@ StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
   std::vector<double> merged(triples.size(), 0.0);
   for (size_t k = 0; k < num_shards; ++k) {
     if (locals[k].empty()) continue;
-    FUSER_RETURN_IF_ERROR(CheckShardSnapshot(snapshot, k));
     FUSER_ASSIGN_OR_RETURN(
         std::vector<double> scores,
-        services_[k].ScoreBatch(*snapshot.shards[k], spec, locals[k]));
+        FusionService::ScoreBatch(*snapshot.shards[k], spec, locals[k]));
     for (size_t j = 0; j < scores.size(); ++j) {
       merged[positions[k][j]] = scores[j];
     }
@@ -81,31 +65,11 @@ StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
 
 StatusOr<double> ShardedFusionService::ScoreObservation(
     const ShardedSnapshot& snapshot, const MethodSpec& spec,
-    const AdHocObservation& observation) const {
+    const AdHocObservation& observation) {
   // Every shard holds the same global parameters; shard 0 answers for all.
   FUSER_RETURN_IF_ERROR(CheckShardSnapshot(snapshot, 0));
-  return services_[0].ScoreObservation(*snapshot.shards[0], spec, observation);
-}
-
-StatusOr<double> ShardedFusionService::Score(const MethodSpec& spec,
-                                             TripleId t) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return Score(*snapshot, spec, t);
-}
-
-StatusOr<std::vector<double>> ShardedFusionService::ScoreBatch(
-    const MethodSpec& spec, const std::vector<TripleId>& triples) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return ScoreBatch(*snapshot, spec, triples);
-}
-
-StatusOr<double> ShardedFusionService::ScoreObservation(
-    const MethodSpec& spec, const AdHocObservation& observation) const {
-  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const ShardedSnapshot> snapshot,
-                         Acquire());
-  return ScoreObservation(*snapshot, spec, observation);
+  return FusionService::ScoreObservation(*snapshot.shards[0], spec,
+                                         observation);
 }
 
 }  // namespace fuser

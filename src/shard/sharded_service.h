@@ -4,15 +4,17 @@
 // Same RCU-style contract as serving/FusionService, lifted to K shards:
 // Acquire() pins one ShardedSnapshot — which itself pins one FusionSnapshot
 // per shard plus the global -> (shard, local) routing map — and every query
-// overload that takes a snapshot is answered from exactly those K shard
-// snapshots, no matter what the writer does concurrently. A merged read can
-// never mix shard states from different publishes.
+// is answered from exactly those K shard snapshots, no matter what the
+// writer does concurrently. A merged read can never mix shard states from
+// different publishes.
 //
-// Queries fan out through per-shard FusionService facades and merge in
-// request order; over the same data the answers are byte-identical to an
-// unsharded FusionService at every K and thread count. Ad-hoc observations
-// (global SourceIds) are scored by shard 0 — every shard holds the same
-// router-merged global parameters, so any shard gives the same answer.
+// A batch resolves the method in every pinned shard, scatters its triples
+// per shard through FusionService's static ScoreBatch and gathers the
+// answers in request order; over the same data they are byte-identical to
+// an unsharded FusionService at every K and thread count. A point read is
+// a batch of one. Ad-hoc observations (global SourceIds) are scored by
+// shard 0 — every shard holds the same router-merged global parameters, so
+// any shard gives the same answer.
 #ifndef FUSER_SHARD_SHARDED_SERVICE_H_
 #define FUSER_SHARD_SHARDED_SERVICE_H_
 
@@ -28,44 +30,30 @@ namespace fuser {
 class ShardedFusionService {
  public:
   /// `engine` must outlive the service. The service holds no mutable
-  /// state: all methods are const and thread-safe.
+  /// state: Acquire and the static queries are thread-safe.
   explicit ShardedFusionService(const ShardedFusionEngine* engine);
 
-  /// Pins the engine's latest servable ShardedSnapshot (falling back to
-  /// the latest published one before any materialization). Fails only
-  /// before the engine's first Prepare.
+  /// Pins the engine's ShardedSnapshot by PinServableSnapshot's rule.
   StatusOr<std::shared_ptr<const ShardedSnapshot>> Acquire() const;
 
-  /// Posterior of global triple `t` under `spec`, answered from the shard
-  /// snapshot pinned by `snapshot` for the shard that owns `t`.
-  StatusOr<double> Score(const ShardedSnapshot& snapshot,
-                         const MethodSpec& spec, TripleId t) const;
-
-  /// Batched form: scatter per shard, gather in request order. Over all
-  /// triples the result is byte-identical to the unsharded service's
-  /// ScoreBatch (and to FusionEngine::Run) on the same data.
-  StatusOr<std::vector<double>> ScoreBatch(
+  /// One posterior per requested global triple, in request order. Fails
+  /// like the unsharded service's ScoreBatch: FailedPrecondition when
+  /// `spec` is not materialized (even for an empty batch), InvalidArgument
+  /// for a triple outside the snapshot. Over all triples the result is
+  /// byte-identical to the unsharded ScoreBatch (and to FusionEngine::Run)
+  /// on the same data.
+  static StatusOr<std::vector<double>> ScoreBatch(
       const ShardedSnapshot& snapshot, const MethodSpec& spec,
-      const std::vector<TripleId>& triples) const;
+      const std::vector<TripleId>& triples);
 
   /// Posterior of an ad-hoc observation (global SourceIds). Pattern-serving
   /// methods only, like the unsharded service.
-  StatusOr<double> ScoreObservation(const ShardedSnapshot& snapshot,
-                                    const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
-
-  /// Convenience overloads against the latest acquired snapshot.
-  StatusOr<double> Score(const MethodSpec& spec, TripleId t) const;
-  StatusOr<std::vector<double>> ScoreBatch(
-      const MethodSpec& spec, const std::vector<TripleId>& triples) const;
-  StatusOr<double> ScoreObservation(const MethodSpec& spec,
-                                    const AdHocObservation& observation) const;
+  static StatusOr<double> ScoreObservation(
+      const ShardedSnapshot& snapshot, const MethodSpec& spec,
+      const AdHocObservation& observation);
 
  private:
   const ShardedFusionEngine* engine_;
-  /// One facade per shard; only their snapshot-taking overloads are used,
-  /// so all routing state lives in the ShardedSnapshot being queried.
-  std::vector<FusionService> services_;
 };
 
 }  // namespace fuser

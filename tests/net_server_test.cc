@@ -88,6 +88,34 @@ struct ServerHarness {
   }
 };
 
+/// The same over a K=4 ShardedFusionEngine behind a ShardedServiceBackend.
+struct ShardedServerHarness {
+  Dataset dataset;
+  std::unique_ptr<ShardedFusionEngine> engine;
+  std::shared_ptr<const ShardedSnapshot> snapshot;
+  std::unique_ptr<ShardedFusionService> service;
+  std::unique_ptr<ShardedServiceBackend> backend;
+  std::unique_ptr<FusionServer> server;
+
+  explicit ShardedServerHarness(uint64_t seed)
+      : dataset(MakeServingDataset(seed)) {
+    auto created = ShardedFusionEngine::Create(dataset, ShardingOptions{4},
+                                               EngineOptions{});
+    EXPECT_TRUE(created.ok()) << created.status();
+    engine = std::move(*created);
+    EXPECT_TRUE(engine->Prepare(dataset.labeled_mask()).ok());
+    auto published = engine->PublishSnapshot(ServingLineup());
+    EXPECT_TRUE(published.ok()) << published.status();
+    snapshot = *published;
+    service = std::make_unique<ShardedFusionService>(engine.get());
+    backend = std::make_unique<ShardedServiceBackend>(service.get(),
+                                                      engine->num_shards());
+    server = std::make_unique<FusionServer>(backend.get(),
+                                            FusionServerOptions{});
+    EXPECT_TRUE(server->Start().ok());
+  }
+};
+
 // --- Raw-socket helpers for the adversarial tests (the FusionClient is
 // --- deliberately unable to send malformed bytes).
 
@@ -154,10 +182,12 @@ bool WaitForEof(int fd) {
   return false;
 }
 
-/// The shared identity check: every networked answer equals the local
-/// FusionService answer on the pinned snapshot, byte for byte.
-void ExpectNetworkMatchesLocal(const ServerHarness& harness,
-                               FusionClient* client) {
+/// The shared identity check: every networked answer (kScoreBatch over all
+/// triples, kScore at the first, middle and last triple, kScoreObservation)
+/// equals the local service's answer on the pinned snapshot, byte for byte.
+/// `Harness` is ServerHarness or ShardedServerHarness.
+template <typename Harness>
+void ExpectNetworkMatchesLocal(const Harness& harness, FusionClient* client) {
   const std::vector<MethodSpec> specs = ServingLineup();
   const std::vector<TripleId> all =
       AllTriples(harness.dataset.num_triples());
@@ -176,6 +206,7 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
     for (TripleId t : {TripleId{0}, static_cast<TripleId>(last / 2), last}) {
       auto one = client->Score(spec.Name(), t);
       ASSERT_TRUE(one.ok()) << one.status();
+      EXPECT_EQ(one->snapshot_id, harness.snapshot->id);
       EXPECT_EQ(one->score, (*local)[t]) << spec.Name() << " triple " << t;
     }
   }
@@ -189,6 +220,19 @@ void ExpectNetworkMatchesLocal(const ServerHarness& harness,
                                          observation.providers, {});
   ASSERT_TRUE(remote.ok()) << remote.status();
   EXPECT_EQ(remote->score, *local);
+}
+
+/// An empty kScoreBatch answers like the in-process ScoreBatch on either
+/// backend: an empty reply for a published method, FailedPrecondition for
+/// one the snapshot never materialized.
+void ExpectEmptyBatchesAnswerLikeLocal(FusionClient* client) {
+  auto empty = client->ScoreBatch("precrec-corr", {});
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->scores.empty());
+  auto unpublished = client->ScoreBatch("elastic-2", {});
+  EXPECT_EQ(unpublished.status().code(), StatusCode::kFailedPrecondition)
+      << unpublished.status();
+  EXPECT_TRUE(client->connected());
 }
 
 TEST(FusionServerTest, NetworkedScoresAreByteIdenticalToLocalService) {
@@ -238,42 +282,32 @@ TEST(FusionServerTest, PipelinedBatchesComeBackInOrderAndIdentical) {
 }
 
 TEST(FusionServerTest, ShardedBackendServesIdenticallyBehindTheSameWire) {
-  Dataset dataset = MakeServingDataset(/*seed=*/947);
-  auto sharded = ShardedFusionEngine::Create(dataset, ShardingOptions{4},
-                                             EngineOptions{});
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ASSERT_TRUE((*sharded)->Prepare(dataset.labeled_mask()).ok());
-  const std::vector<MethodSpec> specs = ServingLineup();
-  auto published = (*sharded)->PublishSnapshot(specs);
-  ASSERT_TRUE(published.ok()) << published.status();
-  ShardedFusionService service(sharded->get());
-  ShardedServiceBackend backend(&service, (*sharded)->num_shards());
-  FusionServer server(&backend, {});
-  ASSERT_TRUE(server.Start().ok());
-
+  ShardedServerHarness harness(/*seed=*/947);
   FusionClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  const std::vector<TripleId> all = AllTriples(dataset.num_triples());
-  for (const MethodSpec& spec : specs) {
-    auto local = service.ScoreBatch(**published, spec, all);
-    ASSERT_TRUE(local.ok()) << local.status();
-    auto remote = client.ScoreBatch(spec.Name(), all);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_EQ(remote->snapshot_id, (*published)->id);
-    ASSERT_EQ(remote->scores.size(), local->size());
-    for (size_t t = 0; t < all.size(); ++t) {
-      ASSERT_EQ(remote->scores[t], (*local)[t])
-          << spec.Name() << " triple " << t;
-    }
-  }
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
+  ExpectNetworkMatchesLocal(harness, &client);
+
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->num_shards, 4u);
-  EXPECT_EQ(stats->snapshot_id, (*published)->id);
+  EXPECT_EQ(stats->snapshot_id, harness.snapshot->id);
   // Shards advance their dataset versions independently, so a sharded
   // backend reports none.
   EXPECT_EQ(stats->dataset_version, 0u);
-  server.Stop();
+  harness.server->Stop();
+}
+
+TEST(FusionServerTest, EmptyBatchesAnswerAlikeOnBothBackends) {
+  ServerHarness harness;
+  FusionClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
+  ExpectEmptyBatchesAnswerLikeLocal(&client);
+
+  ShardedServerHarness sharded(/*seed=*/311);
+  FusionClient sharded_client;
+  ASSERT_TRUE(
+      sharded_client.Connect("127.0.0.1", sharded.server->port()).ok());
+  ExpectEmptyBatchesAnswerLikeLocal(&sharded_client);
 }
 
 TEST(FusionServerTest, RequestLevelErrorsKeepTheConnectionServing) {

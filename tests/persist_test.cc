@@ -13,6 +13,7 @@
 //     byte-flip sweep runs under the CI ASan job.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -269,6 +270,20 @@ TEST(PersistRoundTripTest, SaveBeforeModelBuildRestoresLazily) {
   auto b = warm.RunAll(Lineup());
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectRunsIdentical(*a, *b);
+}
+
+TEST(PersistRoundTripTest, FailedSaveLeavesNoTempFile) {
+  // A non-empty directory at the target path makes the final rename fail:
+  // the save reports IoError and removes its temp file.
+  Dataset ds = MakeDataset(/*with_domains=*/false, /*seed=*/29);
+  FusionEngine engine(static_cast<const Dataset*>(&ds), EngineOptions{});
+  ASSERT_TRUE(engine.Prepare(ds.labeled_mask()).ok());
+  const std::string path = TempPath("persist_onto_dir.snap");
+  std::filesystem::create_directories(path + "/occupied");
+  const Status saved = engine.SaveSnapshot(path);
+  EXPECT_EQ(saved.code(), StatusCode::kIoError) << saved;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
 }
 
 TEST(PersistStreamingTest, WarmStartPlusUpdateEqualsPreparePlusUpdate) {

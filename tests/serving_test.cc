@@ -321,7 +321,9 @@ TEST(FusionServiceTest, ErrorsAreDiagnosable) {
   ASSERT_TRUE(engine.Prepare(d.labeled_mask()).ok());
   const MethodSpec corr = *ParseMethodSpec("precrec-corr");
   // Published, but the method is not materialized yet.
-  EXPECT_EQ(service.Score(corr, 0).status().code(),
+  auto unmaterialized = service.Acquire();
+  ASSERT_TRUE(unmaterialized.ok()) << unmaterialized.status();
+  EXPECT_EQ(service.Score(**unmaterialized, corr, 0).status().code(),
             StatusCode::kFailedPrecondition);
 
   auto snapshot = engine.PublishSnapshot({corr});

@@ -5,6 +5,7 @@
 // clustered configs, through streaming updates, through the serving
 // facade, and across a save/warm-start round trip.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -287,6 +288,8 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
   ASSERT_TRUE(reference.PublishSnapshot(ShardableLineup()).ok());
   FusionService reference_service(&reference);
+  auto reference_snapshot = reference_service.Acquire();
+  ASSERT_TRUE(reference_snapshot.ok()) << reference_snapshot.status();
 
   auto engine =
       ShardedFusionEngine::Create(ds, ShardingOptions{4}, options);
@@ -304,16 +307,18 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   for (const MethodSpec& spec : ShardableLineup()) {
     auto sharded_scores = service.ScoreBatch(**snapshot, spec, all);
     ASSERT_TRUE(sharded_scores.ok()) << sharded_scores.status();
-    auto expected_scores = reference_service.ScoreBatch(spec, all);
+    auto expected_scores =
+        reference_service.ScoreBatch(**reference_snapshot, spec, all);
     ASSERT_TRUE(expected_scores.ok()) << expected_scores.status();
     for (size_t t = 0; t < all.size(); ++t) {
       ASSERT_EQ((*sharded_scores)[t], (*expected_scores)[t])
           << spec.Name() << " triple " << t;
     }
-    // Point reads answer from the same pinned snapshot.
-    auto one = service.Score(**snapshot, spec, all.back());
+    // Point reads (batches of one) answer from the same pinned snapshot.
+    auto one = service.ScoreBatch(**snapshot, spec, {all.back()});
     ASSERT_TRUE(one.ok()) << one.status();
-    EXPECT_EQ(*one, (*sharded_scores).back());
+    ASSERT_EQ(one->size(), 1u);
+    EXPECT_EQ(one->front(), (*sharded_scores).back());
   }
 
   // Ad-hoc observations go to shard 0 but carry global parameters, so the
@@ -323,18 +328,74 @@ TEST(ShardedServiceTest, PointQueriesMatchUnshardedService) {
   observation.in_scope = {0, 1, 2, 3};
   auto spec = ParseMethodSpec("precrec-corr");
   ASSERT_TRUE(spec.ok());
-  auto sharded_obs = service.ScoreObservation(*spec, observation);
+  auto sharded_obs = service.ScoreObservation(**snapshot, *spec, observation);
   ASSERT_TRUE(sharded_obs.ok()) << sharded_obs.status();
-  auto expected_obs = reference_service.ScoreObservation(*spec, observation);
+  auto expected_obs = reference_service.ScoreObservation(
+      **reference_snapshot, *spec, observation);
   ASSERT_TRUE(expected_obs.ok()) << expected_obs.status();
   EXPECT_EQ(*sharded_obs, *expected_obs);
 
   // Out-of-range triple ids are rejected, not misrouted.
-  EXPECT_EQ(service.Score(**snapshot, *spec,
-                          static_cast<TripleId>(ds.num_triples()))
+  EXPECT_EQ(service
+                .ScoreBatch(**snapshot, *spec,
+                            {static_cast<TripleId>(ds.num_triples())})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedServiceTest, UnmaterializedMethodFailsLikeUnsharded) {
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1703);
+  EngineOptions options = MakeOptions(Variant::kScoped);
+
+  FusionEngine reference(static_cast<const Dataset*>(&ds), options);
+  ASSERT_TRUE(reference.Prepare(ds.labeled_mask()).ok());
+  ASSERT_TRUE(reference.PublishSnapshot(ShardableLineup()).ok());
+  FusionService reference_service(&reference);
+  auto reference_snapshot = reference_service.Acquire();
+  ASSERT_TRUE(reference_snapshot.ok()) << reference_snapshot.status();
+
+  auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{2}, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+  ASSERT_TRUE((*engine)->PublishSnapshot(ShardableLineup()).ok());
+  ShardedFusionService service(engine->get());
+  auto snapshot = service.Acquire();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+
+  // elastic-2 is not in the published lineup: both topologies refuse it,
+  // the empty batch included.
+  const MethodSpec unpublished = *ParseMethodSpec("elastic-2");
+  for (const std::vector<TripleId>& triples :
+       {std::vector<TripleId>{}, std::vector<TripleId>{0}}) {
+    EXPECT_EQ(reference_service
+                  .ScoreBatch(**reference_snapshot, unpublished, triples)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << triples.size() << " triples";
+    EXPECT_EQ(service.ScoreBatch(**snapshot, unpublished, triples)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << triples.size() << " triples";
+  }
+  AdHocObservation observation;
+  observation.providers = {0};
+  EXPECT_EQ(service.ScoreObservation(**snapshot, unpublished, observation)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  // An empty batch of a published method is an empty answer in both.
+  const MethodSpec published = *ParseMethodSpec("precrec-corr");
+  auto expected = reference_service.ScoreBatch(**reference_snapshot,
+                                               published, {});
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_TRUE(expected->empty());
+  auto sharded = service.ScoreBatch(**snapshot, published, {});
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  EXPECT_TRUE(sharded->empty());
 }
 
 TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
@@ -369,7 +430,7 @@ TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
   auto spec = ParseMethodSpec("precrec-corr");
   ASSERT_TRUE(spec.ok());
-  auto score = service.Score(**snapshot, *spec, 0);
+  auto score = service.ScoreBatch(**snapshot, *spec, {0});
   EXPECT_TRUE(score.ok()) << score.status();
 
   // And it keeps streaming: updates on top of the warm start stay exact.
@@ -380,6 +441,22 @@ TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
   ASSERT_TRUE((*warm)->Update(batch).ok());
   EXPECT_EQ((*warm)->num_triples(), ds.num_triples() + 1);
   EXPECT_TRUE((*warm)->RunAll(ShardableLineup()).ok());
+}
+
+TEST(ShardedPersistTest, FailedManifestWriteLeavesNoTempFile) {
+  // The shard files land beside the target; a non-empty directory at the
+  // manifest path makes its final rename fail: IoError, no temp file left.
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1811);
+  EngineOptions options = MakeOptions(Variant::kScoped);
+  auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{2}, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+  const std::string path = TempPath("sharded_onto_dir.snap");
+  std::filesystem::create_directories(path + "/occupied");
+  const Status saved = (*engine)->SaveSnapshot(path);
+  EXPECT_EQ(saved.code(), StatusCode::kIoError) << saved;
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
 }
 
 TEST(ShardedPersistTest, RefusesCorruptMissingAndMixedVersionManifests) {

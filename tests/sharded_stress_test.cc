@@ -1,7 +1,7 @@
-// Sharded serving stress test: reader threads hammer merged Score /
-// ScoreBatch reads through ShardedFusionService while the writer streams
-// Update batches through the router — which fans each batch out to the K
-// shard engines, so the readers race K concurrent per-shard writers. The
+// Sharded serving stress test: reader threads hammer merged point (batch
+// of one) and batch reads through ShardedFusionService while the writer
+// streams Update batches through the router — which fans each batch out to
+// the K shard engines, so the readers race K concurrent per-shard writers. The
 // assertion is the multi-shard snapshot contract: every merged read must
 // match, byte for byte, the reference scores of the exact ShardedSnapshot
 // (and thus the exact per-shard FusionSnapshots it pins) it was answered
@@ -117,12 +117,12 @@ TEST(ShardedStressTest, MergedReadsMatchPinnedShardSnapshots) {
         std::shared_ptr<const ShardedSnapshot> snapshot = *snapshot_or;
         const size_t spec_index = rng.NextBounded(specs.size());
         const MethodSpec& spec = specs[spec_index];
-        // Merged point query.
+        // Merged point query: a batch of one.
         const TripleId t =
             static_cast<TripleId>(rng.NextBounded(snapshot->num_triples));
-        auto one = service.Score(*snapshot, spec, t);
+        auto one = service.ScoreBatch(*snapshot, spec, {t});
         if (one.ok() && keep(snapshot->id)) {
-          points.push_back({snapshot->id, spec_index, t, *one});
+          points.push_back({snapshot->id, spec_index, t, one->front()});
           note(snapshot->id);
         }
         // Merged batch query spanning several shards; request order must
