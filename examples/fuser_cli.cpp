@@ -920,8 +920,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
         return 1;
       }
-      std::printf("saved %zu shard snapshots + manifest to %s\n", shards,
-                  save_path.c_str());
+      std::printf("saved snapshot to %s (%zu shards in one file)\n",
+                  save_path.c_str(), shards);
     } else {
       auto published = engine->PublishSnapshot(specs);
       if (!published.ok()) {

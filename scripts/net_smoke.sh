@@ -71,8 +71,17 @@ echo "== synthesize TSVs and train a snapshot"
   | tee "$OUT_DIR/synth.log"
 "$BUILD_DIR/fuser_cli" "$OUT_DIR/obs.tsv" "$OUT_DIR/gold.tsv" precrec-corr \
   --save="$OUT_DIR/snap.fsn" | tee "$OUT_DIR/train.log"
+rm -f "$OUT_DIR"/snap2.shard*  # left by saves before snapshot format 3
 "$BUILD_DIR/fuser_cli" "$OUT_DIR/obs.tsv" "$OUT_DIR/gold.tsv" precrec-corr \
   --shards=2 --save="$OUT_DIR/snap2" | tee "$OUT_DIR/train2.log"
+# A sharded save is one file: no per-shard files beside it.
+[ -f "$OUT_DIR/snap2" ] || { echo "sharded save wrote no $OUT_DIR/snap2" >&2; exit 1; }
+for stray in "$OUT_DIR"/snap2.shard*; do
+  if [ -e "$stray" ]; then
+    echo "sharded save left a per-shard file: $stray" >&2
+    exit 1
+  fi
+done
 
 echo "== serve the snapshot and probe it"
 "$BUILD_DIR/fuser_cli" --load="$OUT_DIR/snap.fsn" --serve=0 \

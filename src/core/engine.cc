@@ -181,13 +181,20 @@ Status FusionEngine::WarmStart(const LoadedSnapshot& loaded) {
 }
 
 Status FusionEngine::SaveSnapshot(const std::string& path) const {
+  FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
+                         SnapshotToSave());
+  return ::fuser::SaveSnapshot(path, *dataset_, train_mask_, *snapshot);
+}
+
+StatusOr<std::shared_ptr<const FusionSnapshot>> FusionEngine::SnapshotToSave()
+    const {
   std::shared_ptr<const FusionSnapshot> snapshot = CurrentSnapshot();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition(
         "nothing to save: call Prepare (and PublishSnapshot) first");
   }
   FUSER_RETURN_IF_ERROR(CheckDatasetVersion());
-  return ::fuser::SaveSnapshot(path, *dataset_, train_mask_, *snapshot);
+  return snapshot;
 }
 
 Status FusionEngine::CheckDatasetVersion() const {

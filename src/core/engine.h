@@ -217,7 +217,8 @@ class FusionEngine {
   /// usual clone-on-write path. Replaces the options the engine was
   /// constructed with by the saved ones — except num_threads, which stays
   /// the engine's own (thread count belongs to the host, not the trained
-  /// state; scores are thread-count invariant).
+  /// state; scores are thread-count invariant). A file saved by
+  /// ShardedFusionEngine is InvalidArgument.
   Status WarmStart(const std::string& path);
 
   /// Same, from an already-loaded snapshot (LoadSnapshot). The engine must
@@ -341,6 +342,9 @@ class FusionEngine {
   /// Out-of-band mutation guard: the dataset's version must match what the
   /// engine last saw (Prepare or Update).
   Status CheckDatasetVersion() const;
+  /// The latest published snapshot, if it still describes the dataset:
+  /// what SaveSnapshot persists (ShardedFusionEngine saves one per shard).
+  StatusOr<std::shared_ptr<const FusionSnapshot>> SnapshotToSave() const;
   /// Resolves `spec` through the registry and assembles the context with
   /// every shared input the method declares (model, pattern grouping).
   StatusOr<const FusionMethod*> ResolveAndPrepareContext(

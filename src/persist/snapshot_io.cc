@@ -1,17 +1,13 @@
 #include "persist/snapshot_io.h"
 
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "common/mmap_file.h"
 #include "core/fusion_method.h"
@@ -28,8 +24,8 @@ using persist::Checksum64;
 
 constexpr char kMagic[8] = {'F', 'U', 'S', 'R', 'S', 'N', 'A', 'P'};
 constexpr size_t kHeaderFixedBytes = 16;   // magic + version + section count
-constexpr size_t kSectionEntryBytes = 32;  // id + reserved + off + size + sum
-constexpr uint32_t kMaxSections = 1024;
+constexpr size_t kSectionEntryBytes = 32;  // id + part + off + size + sum
+constexpr uint32_t kMaxSections = 8192;  // 5 per part at 1024 shards + 1
 
 // Section ids. New sections are additive (old readers skip unknown ids);
 // changing the layout *inside* a section bumps kSnapshotFormatVersion.
@@ -38,6 +34,7 @@ constexpr uint32_t kSectionDataset = 2;
 constexpr uint32_t kSectionModel = 3;
 constexpr uint32_t kSectionGrouping = 4;
 constexpr uint32_t kSectionServing = 5;
+constexpr uint32_t kSectionRouter = 6;  // file-wide, stored as part 0
 
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("corrupt snapshot: " + what);
@@ -219,7 +216,7 @@ Status DecodeEngineSection(ByteSource src, EngineSection* out) {
 }
 
 // ---------------------------------------------------------------------------
-// DATASET section (format v2): a columnar aligned-span image.
+// DATASET section (since format v2): a columnar aligned-span image.
 //
 // Payload layout, in file order ("64-aligned" = the field's *file offset*
 // is a multiple of 64, which makes it 64-aligned in an mmap and 8-aligned
@@ -847,11 +844,6 @@ Status DecodeServingSection(ByteSource src, const MethodContext& context,
 /// carries a partial chunk between calls instead of naively re-seeding.
 class ChainedHasher {
  public:
-  void Reset() {
-    h_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-    pending_len_ = 0;
-  }
-
   void Update(const void* data, size_t size) {
     const unsigned char* p = static_cast<const unsigned char*>(data);
     if (pending_len_ > 0) {
@@ -887,7 +879,7 @@ class ChainedHasher {
     h_ *= 0x100000001B3ULL;
   }
 
-  uint64_t h_ = 0;
+  uint64_t h_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   unsigned char pending_[8];
   size_t pending_len_ = 0;
 };
@@ -899,7 +891,7 @@ class FileSectionWriter {
   explicit FileSectionWriter(std::FILE* f) : file_(f) {}
 
   void BeginSection() {
-    hasher_.Reset();
+    hasher_ = ChainedHasher();
     section_bytes_ = 0;
   }
 
@@ -932,14 +924,26 @@ class FileSectionWriter {
   uint64_t section_bytes_ = 0;
 };
 
-/// Streams the v2 DATASET payload (layout `l`, which the caller computed
-/// from this dataset's scalars at the section's final file offset).
-Status WriteDatasetSection(const Dataset& dataset, const DsLayout& l,
-                           const uint64_t scalars[kDsScalars],
-                           const CompactCsrView& providers,
-                           const CompactCsrView& domain_sources,
-                           const CompactCsrView& domain_triples,
-                           FileSectionWriter* w) {
+/// Streams `dataset`'s DATASET payload as a new section that starts at
+/// file offset `section_offset`; returns the payload size.
+StatusOr<uint64_t> WriteDatasetSection(const Dataset& dataset,
+                                       uint64_t section_offset,
+                                       FileSectionWriter* w) {
+  const CompactCsrView providers = MakeCompactView(dataset.providers_table());
+  const CompactCsrView domain_sources =
+      MakeCompactView(dataset.domain_sources_table());
+  const CompactCsrView domain_triples =
+      MakeCompactView(dataset.domain_triples_table());
+  const StringArena& arena = dataset.string_arena();
+  const uint64_t scalars[kDsScalars] = {
+      dataset.version(),         dataset.num_sources(),
+      dataset.num_domains(),     dataset.num_triples(),
+      arena.image_bytes(),       arena.chunk_bytes(),
+      providers.pool_len,        domain_sources.pool_len,
+      domain_triples.pool_len};
+  DsLayout l;
+  FUSER_RETURN_IF_ERROR(ComputeDsLayout(section_offset, scalars, &l));
+  w->BeginSection();
   FUSER_RETURN_IF_ERROR(w->WriteZeros(l.pad0));
   FUSER_RETURN_IF_ERROR(w->Write(scalars, kDsScalars * 8));
   const Span<StringRef> source_refs = dataset.source_name_refs();
@@ -947,17 +951,7 @@ Status WriteDatasetSection(const Dataset& dataset, const DsLayout& l,
   FUSER_RETURN_IF_ERROR(w->Write(source_refs.data(), source_refs.size() * 8));
   FUSER_RETURN_IF_ERROR(w->Write(domain_refs.data(), domain_refs.size() * 8));
   // Meta checksum: everything written so far (pad0 + scalars + refs).
-  uint64_t meta;
-  {
-    const std::string zeros(l.pad0, '\0');
-    ChainedHasher hasher;
-    hasher.Reset();
-    hasher.Update(zeros.data(), zeros.size());
-    hasher.Update(scalars, kDsScalars * 8);
-    hasher.Update(source_refs.data(), source_refs.size() * 8);
-    hasher.Update(domain_refs.data(), domain_refs.size() * 8);
-    meta = hasher.Finish();
-  }
+  const uint64_t meta = w->section_checksum();
   FUSER_RETURN_IF_ERROR(w->Write(&meta, 8));
   FUSER_RETURN_IF_ERROR(
       w->WriteZeros(l.arena_off - (l.meta_checksum_off + 8)));  // pad1
@@ -1004,286 +998,16 @@ Status WriteDatasetSection(const Dataset& dataset, const DsLayout& l,
   FUSER_RETURN_IF_ERROR(
       w->Write(domain_triples.pool, domain_triples.pool_len * 4));
   FUSER_RETURN_IF_ERROR(w->Write(dataset.labels_span().data(), m));
-  return Status::OK();
+  if (w->section_bytes() != l.total) {
+    return Status::Internal("dataset section size accounting bug");
+  }
+  return l.total;
 }
 
-/// Extends `bytes` with file content up to byte `target` (sequential reads
-/// on one stream; `bytes` always holds the file prefix [0, bytes->size())).
-Status ExtendPrefix(std::ifstream& in, std::string* bytes, size_t target) {
-  if (target <= bytes->size()) return Status::OK();
-  const size_t old_size = bytes->size();
-  bytes->resize(target);
-  in.read(&(*bytes)[old_size],
-          static_cast<std::streamsize>(target - old_size));
-  if (!in) {
-    return Status::IoError("snapshot read failed");
-  }
-  return Status::OK();
-}
-
-struct SectionSpan {
-  size_t offset = 0;
-  size_t size = 0;
-  uint64_t checksum = 0;
-};
-
-/// Parses and validates the header and section table (`bytes` must cover
-/// them; section bounds are validated against `file_size`). Section
-/// payload checksums are *not* verified here — OpenSection checks each
-/// section right before it is parsed, so attach-mode loads never pay for
-/// reading or hashing the (large) dataset section they skip.
-Status ParseHeader(std::string_view bytes, size_t file_size,
-                   std::map<uint32_t, SectionSpan>* sections) {
-  if (bytes.size() < kHeaderFixedBytes + 8) {
-    return Corrupt("file truncated (no header)");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt("bad magic (not a fuser snapshot)");
-  }
-  ByteSource header(bytes.data() + sizeof(kMagic),
-                    bytes.size() - sizeof(kMagic));
-  uint32_t format_version = 0;
-  uint32_t section_count = 0;
-  FUSER_RETURN_IF_ERROR(header.ReadU32(&format_version));
-  FUSER_RETURN_IF_ERROR(header.ReadU32(&section_count));
-  if (format_version != kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot format version " +
-        std::to_string(format_version) + " (this build reads version " +
-        std::to_string(kSnapshotFormatVersion) + ")");
-  }
-  if (section_count > kMaxSections) {
-    return Corrupt("implausible section count");
-  }
-  const size_t table_end =
-      kHeaderFixedBytes + kSectionEntryBytes * section_count;
-  if (bytes.size() < table_end + 8 || file_size < table_end + 8) {
-    return Corrupt("file truncated (section table)");
-  }
-  ByteSource tail(bytes.data() + table_end, 8);
-  uint64_t stored_header_checksum = 0;
-  FUSER_RETURN_IF_ERROR(tail.ReadU64(&stored_header_checksum));
-  if (Checksum64(bytes.data(), table_end) != stored_header_checksum) {
-    return Corrupt("header checksum mismatch");
-  }
-  for (uint32_t i = 0; i < section_count; ++i) {
-    uint32_t id = 0, reserved = 0;
-    uint64_t offset = 0, size = 0, checksum = 0;
-    FUSER_RETURN_IF_ERROR(header.ReadU32(&id));
-    FUSER_RETURN_IF_ERROR(header.ReadU32(&reserved));
-    FUSER_RETURN_IF_ERROR(header.ReadU64(&offset));
-    FUSER_RETURN_IF_ERROR(header.ReadU64(&size));
-    FUSER_RETURN_IF_ERROR(header.ReadU64(&checksum));
-    if (offset < table_end + 8 || offset > file_size ||
-        size > file_size - offset) {
-      return Corrupt("section outside file bounds");
-    }
-    SectionSpan span{static_cast<size_t>(offset), static_cast<size_t>(size),
-                     checksum};
-    if (!sections->emplace(id, span).second) {
-      return Corrupt("duplicate section id");
-    }
-  }
-  return Status::OK();
-}
-
-/// Returns a checksum-verified ByteSource over one section, or NotFound
-/// when the file has no such section.
-StatusOr<ByteSource> OpenSection(std::string_view bytes,
-                                 const std::map<uint32_t, SectionSpan>& table,
-                                 uint32_t id) {
-  auto it = table.find(id);
-  if (it == table.end()) {
-    return Status::NotFound("snapshot has no section " + std::to_string(id));
-  }
-  const SectionSpan& span = it->second;
-  if (span.offset > bytes.size() || span.size > bytes.size() - span.offset) {
-    return Status::Internal("section " + std::to_string(id) + " not loaded");
-  }
-  if (Checksum64(bytes.data() + span.offset, span.size) != span.checksum) {
-    return Corrupt("checksum mismatch in section " + std::to_string(id));
-  }
-  return ByteSource(bytes.data() + span.offset, span.size);
-}
-
-StatusOr<LoadedSnapshot> LoadImpl(const std::string& path,
-                                  const Dataset* attach, AttachMode mode) {
-  // What we have of the file: a growing prefix (buffered modes) or the
-  // whole mapped file (mmap modes).
-  std::string buffer;
-  std::shared_ptr<MappedFile> mapped;
-  std::string_view bytes;
-  size_t file_size = 0;
-
-  const bool use_mapping = attach == nullptr && mode != AttachMode::kCopy;
-  std::ifstream in;
-  if (use_mapping) {
-    FUSER_ASSIGN_OR_RETURN(mapped, MappedFile::Open(path));
-    bytes = std::string_view(mapped->data(), mapped->size());
-    file_size = mapped->size();
-  } else {
-    in.open(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-      return Status::IoError("cannot open snapshot file: " + path);
-    }
-    const std::streamoff stat_size = in.tellg();
-    if (stat_size < 0) {
-      return Status::IoError("cannot stat snapshot file: " + path);
-    }
-    file_size = static_cast<size_t>(stat_size);
-    in.seekg(0);
-    // Read the header and section table first; then read only as far into
-    // the file as the sections this load will actually parse. The DATASET
-    // section is written last precisely so an attach-mode load (WarmStart
-    // over a dataset the process already holds) stops short of it.
-    FUSER_RETURN_IF_ERROR(ExtendPrefix(
-        in, &buffer, std::min(file_size, kHeaderFixedBytes + 8)));
-    size_t table_end = kHeaderFixedBytes + 8;
-    if (buffer.size() >= kHeaderFixedBytes) {
-      ByteSource counter(buffer.data() + 12, 4);
-      uint32_t section_count = 0;
-      (void)counter.ReadU32(&section_count);
-      if (section_count <= kMaxSections) {
-        table_end = kHeaderFixedBytes + kSectionEntryBytes * section_count + 8;
-      }
-    }
-    FUSER_RETURN_IF_ERROR(
-        ExtendPrefix(in, &buffer, std::min(file_size, table_end)));
-    bytes = buffer;
-  }
-
-  std::map<uint32_t, SectionSpan> table;
-  FUSER_RETURN_IF_ERROR(ParseHeader(bytes, file_size, &table));
-  if (!use_mapping) {
-    size_t needed_end = buffer.size();
-    for (const auto& [id, span] : table) {
-      if (attach != nullptr && id == kSectionDataset) continue;
-      needed_end = std::max(needed_end, span.offset + span.size);
-    }
-    FUSER_RETURN_IF_ERROR(ExtendPrefix(in, &buffer, needed_end));
-    bytes = buffer;
-  }
-
-  FUSER_ASSIGN_OR_RETURN(ByteSource engine_src,
-                         OpenSection(bytes, table, kSectionEngine));
-  EngineSection engine;
-  FUSER_RETURN_IF_ERROR(DecodeEngineSection(engine_src, &engine));
-
-  LoadedSnapshot loaded;
-  const Dataset* dataset = attach;
-  if (attach != nullptr) {
-    if (attach->num_triples() != engine.num_triples ||
-        attach->num_sources() != engine.num_sources ||
-        attach->num_domains() != engine.num_domains) {
-      return Status::InvalidArgument(
-          "snapshot was saved against a different dataset "
-          "(source/triple/domain counts disagree)");
-    }
-    if (attach->version() != engine.dataset_version) {
-      return Status::InvalidArgument(
-          "snapshot dataset_version " +
-          std::to_string(engine.dataset_version) +
-          " does not match the dataset's version " +
-          std::to_string(attach->version()) +
-          " (the dataset changed since the snapshot was saved)");
-    }
-    // The version counter is per-object (every freshly finalized dataset
-    // starts at 1), so also fingerprint the contents: same-sized data
-    // reloaded from edited TSVs must not warm-start against stale state.
-    if (attach->ContentFingerprint() != engine.dataset_fingerprint) {
-      return Status::InvalidArgument(
-          "snapshot was saved against different dataset contents "
-          "(content fingerprint mismatch)");
-    }
-  } else {
-    auto it = table.find(kSectionDataset);
-    if (it == table.end()) {
-      return Status::NotFound("snapshot has no section " +
-                              std::to_string(kSectionDataset));
-    }
-    const SectionSpan& span = it->second;
-    // kCopy and kMmapVerify hash the whole section; kMmap trusts the meta
-    // checksum inside the payload (that is the point of the mode).
-    if (mode != AttachMode::kMmap &&
-        Checksum64(bytes.data() + span.offset, span.size) != span.checksum) {
-      return Corrupt("checksum mismatch in section " +
-                     std::to_string(kSectionDataset));
-    }
-    DatasetColumns cols;
-    FUSER_RETURN_IF_ERROR(ParseDatasetColumns(
-        bytes.data() + span.offset, span.size, span.offset, &cols));
-    if (cols.version != engine.dataset_version ||
-        cols.num_triples != engine.num_triples ||
-        cols.num_sources != engine.num_sources ||
-        cols.num_domains != engine.num_domains) {
-      return Corrupt("dataset section disagrees with engine state");
-    }
-    if (mode != AttachMode::kMmap) {
-      FUSER_RETURN_IF_ERROR(ValidateDatasetColumns(cols));
-    }
-    loaded.dataset = Dataset::FromColumns(cols, /*borrow=*/use_mapping,
-                                          /*keepalive=*/mapped);
-    if (mode != AttachMode::kMmap &&
-        loaded.dataset->ContentFingerprint() != engine.dataset_fingerprint) {
-      return Corrupt("re-materialized dataset fingerprint mismatch");
-    }
-    dataset = loaded.dataset.get();
-  }
-
-  auto snapshot = std::make_shared<FusionSnapshot>();
-  snapshot->id = 1;
-  snapshot->dataset_version = engine.dataset_version;
-  snapshot->num_triples = static_cast<size_t>(engine.num_triples);
-  snapshot->num_sources = static_cast<size_t>(engine.num_sources);
-  snapshot->options = engine.options;
-  snapshot->quality = std::move(engine.quality);
-  loaded.train_mask = std::move(engine.train_mask);
-
-  StatusOr<ByteSource> model_src = OpenSection(bytes, table, kSectionModel);
-  if (model_src.ok()) {
-    FUSER_ASSIGN_OR_RETURN(snapshot->model,
-                           DecodeModelSection(*model_src, engine));
-  } else if (model_src.status().code() != StatusCode::kNotFound) {
-    return model_src.status();
-  }
-
-  StatusOr<ByteSource> grouping_src =
-      OpenSection(bytes, table, kSectionGrouping);
-  if (grouping_src.ok()) {
-    if (snapshot->model == nullptr) {
-      return Corrupt("grouping section without a model section");
-    }
-    FUSER_ASSIGN_OR_RETURN(
-        snapshot->grouping,
-        DecodeGroupingSection(*grouping_src, *dataset, *snapshot->model));
-  } else if (grouping_src.status().code() != StatusCode::kNotFound) {
-    return grouping_src.status();
-  }
-
-  StatusOr<ByteSource> serving_src = OpenSection(bytes, table, kSectionServing);
-  if (serving_src.ok()) {
-    MethodContext context;
-    context.dataset = dataset;
-    context.options = &snapshot->options;
-    context.quality = &snapshot->quality;
-    context.model = snapshot->model.get();
-    context.grouping = snapshot->grouping.get();
-    context.num_threads = 1;
-    FUSER_RETURN_IF_ERROR(
-        DecodeServingSection(*serving_src, context, &snapshot->serving));
-  } else if (serving_src.status().code() != StatusCode::kNotFound) {
-    return serving_src.status();
-  }
-
-  loaded.snapshot = std::move(snapshot);
-  return loaded;
-}
-
-}  // namespace
-
-Status SaveSnapshot(const std::string& path, const Dataset& dataset,
-                    const DynamicBitset& train_mask,
-                    const FusionSnapshot& snapshot) {
+/// A part can be saved when its snapshot describes its dataset as it is now.
+Status CheckPart(const SnapshotPart& part) {
+  const Dataset& dataset = *part.dataset;
+  const FusionSnapshot& snapshot = *part.snapshot;
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset must be finalized");
   }
@@ -1297,124 +1021,411 @@ Status SaveSnapshot(const std::string& path, const Dataset& dataset,
         "snapshot predates the dataset's current version; publish a fresh "
         "snapshot before saving");
   }
-  if (train_mask.size() != dataset.num_triples()) {
+  if (part.train_mask->size() != dataset.num_triples()) {
     return Status::InvalidArgument("train mask size != num_triples");
   }
   if (snapshot.grouping != nullptr &&
       snapshot.grouping->num_triples != dataset.num_triples()) {
     return Status::InvalidArgument("snapshot grouping size mismatch");
   }
+  return Status::OK();
+}
 
-  // Small sections are assembled in memory; the DATASET section — the
-  // bulk of the file — is streamed straight from the dataset's columns,
-  // so saving never materializes a second copy of the corpus. It goes
-  // last: warm starts over an already-loaded dataset (FusionEngine::
-  // WarmStart) read only the file prefix up to it.
-  std::vector<std::pair<uint32_t, std::string>> small_sections;
-  small_sections.emplace_back(
-      kSectionEngine, EncodeEngineSection(dataset, train_mask, snapshot));
-  if (snapshot.model != nullptr) {
-    FUSER_ASSIGN_OR_RETURN(std::string model_bytes,
-                           EncodeModelSection(*snapshot.model));
-    small_sections.emplace_back(kSectionModel, std::move(model_bytes));
-  }
-  if (snapshot.grouping != nullptr) {
-    small_sections.emplace_back(kSectionGrouping,
-                                EncodeGroupingSection(*snapshot.grouping));
-  }
-  if (!snapshot.serving.empty()) {
-    small_sections.emplace_back(kSectionServing,
-                                EncodeServingSection(snapshot));
+/// What FUSER_FORCE_MMAP_ATTACH=1 turns the default kCopy load into (CI
+/// runs the whole suite over attached datasets this way).
+AttachMode DefaultAttachMode() {
+  const char* force = std::getenv("FUSER_FORCE_MMAP_ATTACH");
+  return force != nullptr && std::string_view(force) == "1"
+             ? AttachMode::kMmapVerify
+             : AttachMode::kCopy;
+}
+
+/// An open snapshot file: the header and section table are read and
+/// checked once; each part then loads on demand, reading only its own
+/// sections' byte ranges (or viewing them in the mapping). The one loader
+/// behind every public load entry point, for K = 1 and K > 1 alike.
+struct SnapshotFile {
+  struct Span {
+    size_t offset = 0;
+    size_t size = 0;
+    uint64_t checksum = 0;
+  };
+
+  AttachMode mode = AttachMode::kCopy;
+  std::ifstream in;
+  std::shared_ptr<MappedFile> mapped;
+  size_t num_parts = 0;
+  std::map<std::pair<uint32_t, uint32_t>, Span> sections;  // (part, id)
+
+  bool Has(uint32_t part, uint32_t id) const {
+    return sections.count({part, id}) != 0;
   }
 
-  const size_t num_sections = small_sections.size() + 1;
+  /// Reads file bytes [begin, end) into `*out`.
+  Status ReadRange(size_t begin, size_t end, std::string* out) {
+    out->resize(end - begin);
+    in.seekg(static_cast<std::streamoff>(begin));
+    in.read(out->data(), static_cast<std::streamsize>(out->size()));
+    if (!in) return Status::IoError("snapshot read failed");
+    return Status::OK();
+  }
+
+  Status Open(const std::string& path, AttachMode attach_mode) {
+    mode = attach_mode;
+    std::string buffer;
+    std::string_view bytes;
+    size_t file_size = 0;
+    if (mode != AttachMode::kCopy) {
+      FUSER_ASSIGN_OR_RETURN(mapped, MappedFile::Open(path));
+      bytes = std::string_view(mapped->data(), mapped->size());
+      file_size = mapped->size();
+    } else {
+      in.open(path, std::ios::binary | std::ios::ate);
+      const std::streamoff stat_size = in ? std::streamoff(in.tellg()) : -1;
+      if (stat_size < 0) {
+        return Status::IoError("cannot open snapshot file: " + path);
+      }
+      file_size = static_cast<size_t>(stat_size);
+      // The fixed header says how long the section table is; read just
+      // the two. Sections are read on demand.
+      FUSER_RETURN_IF_ERROR(
+          ReadRange(0, std::min(file_size, kHeaderFixedBytes), &buffer));
+      size_t table_end = kHeaderFixedBytes + 8;
+      if (buffer.size() == kHeaderFixedBytes) {
+        const uint32_t count = persist::LoadU32LE(buffer.data() + 12);
+        if (count <= kMaxSections) table_end += kSectionEntryBytes * count;
+      }
+      FUSER_RETURN_IF_ERROR(
+          ReadRange(0, std::min(file_size, table_end), &buffer));
+      bytes = buffer;
+    }
+    // Section bounds are checked here against the file size; section
+    // checksums as each section is read, so a load never reads or hashes
+    // a section it skips.
+    if (bytes.size() < kHeaderFixedBytes + 8) {
+      return Corrupt("file truncated (no header)");
+    }
+    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+      return Corrupt("bad magic (not a fuser snapshot)");
+    }
+    ByteSource header(bytes.data() + sizeof(kMagic),
+                      bytes.size() - sizeof(kMagic));
+    uint32_t format_version = 0;
+    uint32_t section_count = 0;
+    FUSER_RETURN_IF_ERROR(header.ReadU32(&format_version));
+    FUSER_RETURN_IF_ERROR(header.ReadU32(&section_count));
+    if (format_version != kSnapshotFormatVersion) {
+      return Status::InvalidArgument(
+          "unsupported snapshot format version " +
+          std::to_string(format_version) + " (this build reads version " +
+          std::to_string(kSnapshotFormatVersion) + "; re-save the snapshot)");
+    }
+    if (section_count > kMaxSections) {
+      return Corrupt("implausible section count");
+    }
+    const size_t table_end =
+        kHeaderFixedBytes + kSectionEntryBytes * section_count;
+    if (bytes.size() < table_end + 8 || file_size < table_end + 8) {
+      return Corrupt("file truncated (section table)");
+    }
+    if (Checksum64(bytes.data(), table_end) !=
+        persist::LoadU64LE(bytes.data() + table_end)) {
+      return Corrupt("header checksum mismatch");
+    }
+    for (uint32_t i = 0; i < section_count; ++i) {
+      uint32_t id = 0, part = 0;
+      Span span;
+      uint64_t offset = 0, size = 0;
+      FUSER_RETURN_IF_ERROR(header.ReadU32(&id));
+      FUSER_RETURN_IF_ERROR(header.ReadU32(&part));
+      FUSER_RETURN_IF_ERROR(header.ReadU64(&offset));
+      FUSER_RETURN_IF_ERROR(header.ReadU64(&size));
+      FUSER_RETURN_IF_ERROR(header.ReadU64(&span.checksum));
+      if (offset < table_end + 8 || offset > file_size ||
+          size > file_size - offset) {
+        return Corrupt("section outside file bounds");
+      }
+      span.offset = static_cast<size_t>(offset);
+      span.size = static_cast<size_t>(size);
+      if (!sections.emplace(std::make_pair(part, id), span).second) {
+        return Corrupt("duplicate section id");
+      }
+      if (id == kSectionEngine) ++num_parts;
+    }
+    // Each part has one ENGINE section, so the parts are 0..num_parts-1
+    // exactly when no section names a part beyond that.
+    if (num_parts == 0) return Corrupt("no engine section");
+    for (const auto& entry : sections) {
+      if (entry.first.first >= num_parts) {
+        return Corrupt("section part index out of range");
+      }
+    }
+    return Status::OK();
+  }
+
+  /// The bytes of section (part, id), checksum-verified when `verify`: a
+  /// view into the mapping, or into `*buffer` after reading that range.
+  StatusOr<std::string_view> ReadSection(uint32_t part, uint32_t id,
+                                         bool verify, std::string* buffer) {
+    auto it = sections.find({part, id});
+    if (it == sections.end()) {
+      return Corrupt("part " + std::to_string(part) + " has no section " +
+                     std::to_string(id));
+    }
+    const Span& span = it->second;
+    std::string_view bytes;
+    if (mapped != nullptr) {
+      bytes = std::string_view(mapped->data() + span.offset, span.size);
+    } else {
+      // Start the read on a 64-byte file offset: the DATASET layout's
+      // 64-aligned fields then sit 8-aligned in the heap buffer.
+      const size_t begin = span.offset & ~size_t{63};
+      FUSER_RETURN_IF_ERROR(ReadRange(begin, span.offset + span.size, buffer));
+      bytes = std::string_view(buffer->data() + (span.offset - begin),
+                               span.size);
+    }
+    if (verify && Checksum64(bytes.data(), bytes.size()) != span.checksum) {
+      return Corrupt("checksum mismatch in section " + std::to_string(id));
+    }
+    return bytes;
+  }
+
+  /// Re-materializes one part. With `attach` null its DATASET section is
+  /// loaded under `mode`; otherwise that section is never read, and
+  /// `attach` must match the dataset the part was saved against.
+  StatusOr<LoadedSnapshot> LoadPart(uint32_t part, const Dataset* attach) {
+    // Each section is decoded into owned state before the next is read,
+    // so one buffer serves them all (unused when the file is mapped).
+    std::string buffer;
+    auto open = [&](uint32_t id) -> StatusOr<ByteSource> {
+      FUSER_ASSIGN_OR_RETURN(std::string_view bytes,
+                             ReadSection(part, id, true, &buffer));
+      return ByteSource(bytes.data(), bytes.size());
+    };
+
+    FUSER_ASSIGN_OR_RETURN(ByteSource engine_src, open(kSectionEngine));
+    EngineSection engine;
+    FUSER_RETURN_IF_ERROR(DecodeEngineSection(engine_src, &engine));
+
+    LoadedSnapshot loaded;
+    const Dataset* dataset = attach;
+    if (attach != nullptr) {
+      if (attach->num_triples() != engine.num_triples ||
+          attach->num_sources() != engine.num_sources ||
+          attach->num_domains() != engine.num_domains) {
+        return Status::InvalidArgument(
+            "snapshot was saved against a different dataset "
+            "(source/triple/domain counts disagree)");
+      }
+      if (attach->version() != engine.dataset_version) {
+        return Status::InvalidArgument(
+            "snapshot dataset_version " +
+            std::to_string(engine.dataset_version) +
+            " does not match the dataset's version " +
+            std::to_string(attach->version()) +
+            " (the dataset changed since the snapshot was saved)");
+      }
+      // The version counter is per-object (every freshly finalized dataset
+      // starts at 1), so also fingerprint the contents: same-sized data
+      // reloaded from edited TSVs must not warm-start against stale state.
+      if (attach->ContentFingerprint() != engine.dataset_fingerprint) {
+        return Status::InvalidArgument(
+            "snapshot was saved against different dataset contents "
+            "(content fingerprint mismatch)");
+      }
+    } else {
+      // kCopy and kMmapVerify hash the whole section; kMmap trusts the meta
+      // checksum inside the payload (that is the point of the mode).
+      FUSER_ASSIGN_OR_RETURN(
+          std::string_view payload,
+          ReadSection(part, kSectionDataset, mode != AttachMode::kMmap,
+                      &buffer));
+      DatasetColumns cols;
+      FUSER_RETURN_IF_ERROR(ParseDatasetColumns(
+          payload.data(), payload.size(),
+          sections.at({part, kSectionDataset}).offset, &cols));
+      if (cols.version != engine.dataset_version ||
+          cols.num_triples != engine.num_triples ||
+          cols.num_sources != engine.num_sources ||
+          cols.num_domains != engine.num_domains) {
+        return Corrupt("dataset section disagrees with engine state");
+      }
+      if (mode != AttachMode::kMmap) {
+        FUSER_RETURN_IF_ERROR(ValidateDatasetColumns(cols));
+      }
+      loaded.dataset = Dataset::FromColumns(cols, /*borrow=*/mapped != nullptr,
+                                            /*keepalive=*/mapped);
+      if (mode != AttachMode::kMmap &&
+          loaded.dataset->ContentFingerprint() != engine.dataset_fingerprint) {
+        return Corrupt("re-materialized dataset fingerprint mismatch");
+      }
+      dataset = loaded.dataset.get();
+    }
+
+    auto snapshot = std::make_shared<FusionSnapshot>();
+    snapshot->id = 1;
+    snapshot->dataset_version = engine.dataset_version;
+    snapshot->num_triples = static_cast<size_t>(engine.num_triples);
+    snapshot->num_sources = static_cast<size_t>(engine.num_sources);
+    snapshot->options = engine.options;
+    snapshot->quality = std::move(engine.quality);
+    loaded.train_mask = std::move(engine.train_mask);
+
+    if (Has(part, kSectionModel)) {
+      FUSER_ASSIGN_OR_RETURN(ByteSource src, open(kSectionModel));
+      FUSER_ASSIGN_OR_RETURN(snapshot->model, DecodeModelSection(src, engine));
+    }
+    if (Has(part, kSectionGrouping)) {
+      if (snapshot->model == nullptr) {
+        return Corrupt("grouping section without a model section");
+      }
+      FUSER_ASSIGN_OR_RETURN(ByteSource src, open(kSectionGrouping));
+      FUSER_ASSIGN_OR_RETURN(
+          snapshot->grouping,
+          DecodeGroupingSection(src, *dataset, *snapshot->model));
+    }
+    if (Has(part, kSectionServing)) {
+      MethodContext context;
+      context.dataset = dataset;
+      context.options = &snapshot->options;
+      context.quality = &snapshot->quality;
+      context.model = snapshot->model.get();
+      context.grouping = snapshot->grouping.get();
+      context.num_threads = 1;
+      FUSER_ASSIGN_OR_RETURN(ByteSource src, open(kSectionServing));
+      FUSER_RETURN_IF_ERROR(
+          DecodeServingSection(src, context, &snapshot->serving));
+    }
+    loaded.snapshot = std::move(snapshot);
+    return loaded;
+  }
+};
+
+/// LoadSnapshot and LoadSnapshotFor read single-part files only.
+StatusOr<LoadedSnapshot> LoadSinglePart(const std::string& path,
+                                        AttachMode mode,
+                                        const Dataset* attach) {
+  SnapshotFile file;
+  FUSER_RETURN_IF_ERROR(file.Open(path, mode));
+  if (file.num_parts != 1 || file.Has(0, kSectionRouter)) {
+    return Status::InvalidArgument(
+        "snapshot holds " + std::to_string(file.num_parts) +
+        " part(s) and a router section: it was saved by "
+        "ShardedFusionEngine::SaveSnapshot; load it with "
+        "ShardedFusionEngine::WarmStart");
+  }
+  return file.LoadPart(0, attach);
+}
+
+}  // namespace
+
+Status SaveSnapshotParts(const std::string& path,
+                         const std::vector<SnapshotPart>& parts,
+                         std::string_view router_payload) {
+  if (parts.empty()) {
+    return Status::InvalidArgument("a snapshot holds at least one part");
+  }
+  size_t num_sections = router_payload.empty() ? 0 : 1;
+  for (const SnapshotPart& part : parts) {
+    FUSER_RETURN_IF_ERROR(CheckPart(part));
+    const FusionSnapshot& snapshot = *part.snapshot;
+    num_sections += 2 + (snapshot.model != nullptr) +
+                    (snapshot.grouping != nullptr) + !snapshot.serving.empty();
+  }
   const size_t header_end =
       kHeaderFixedBytes + kSectionEntryBytes * num_sections + 8;
-  uint64_t dataset_offset = header_end;
-  for (const auto& [id, payload] : small_sections) {
-    (void)id;
-    dataset_offset += payload.size();
-  }
 
-  const CompactCsrView providers = MakeCompactView(dataset.providers_table());
-  const CompactCsrView domain_sources =
-      MakeCompactView(dataset.domain_sources_table());
-  const CompactCsrView domain_triples =
-      MakeCompactView(dataset.domain_triples_table());
-  const StringArena& arena = dataset.string_arena();
-  const uint64_t scalars[kDsScalars] = {
-      dataset.version(),         dataset.num_sources(),
-      dataset.num_domains(),     dataset.num_triples(),
-      arena.image_bytes(),       arena.chunk_bytes(),
-      providers.pool_len,        domain_sources.pool_len,
-      domain_triples.pool_len};
-  DsLayout layout;
-  FUSER_RETURN_IF_ERROR(ComputeDsLayout(dataset_offset, scalars, &layout));
-
-  auto build_header = [&](uint64_t dataset_checksum) {
+  struct TableEntry {
+    uint32_t id, part;
+    uint64_t offset, size, checksum;
+  };
+  std::vector<TableEntry> table;
+  // Each small section is encoded right before it is written, and the
+  // DATASET sections — the bulk of the file — are streamed straight from
+  // the datasets' columns, so a save holds one section at a time. The
+  // DATASET sections go last: a warm start over an already-loaded dataset
+  // (FusionEngine::WarmStart(path)) reads only its part's small sections.
+  // The header goes in once every size and checksum is known.
+  return persist::WriteFileDurably(path, [&](std::FILE* out) -> Status {
+    FileSectionWriter writer(out);
+    FUSER_RETURN_IF_ERROR(writer.WriteZeros(header_end));
+    uint64_t offset = header_end;
+    auto write_small = [&](uint32_t id, uint32_t part,
+                           std::string_view payload) -> Status {
+      FUSER_RETURN_IF_ERROR(writer.Write(payload.data(), payload.size()));
+      table.push_back({id, part, offset, payload.size(),
+                       Checksum64(payload.data(), payload.size())});
+      offset += payload.size();
+      return Status::OK();
+    };
+    if (!router_payload.empty()) {
+      FUSER_RETURN_IF_ERROR(write_small(kSectionRouter, 0, router_payload));
+    }
+    for (uint32_t k = 0; k < parts.size(); ++k) {
+      const FusionSnapshot& snapshot = *parts[k].snapshot;
+      FUSER_RETURN_IF_ERROR(write_small(
+          kSectionEngine, k,
+          EncodeEngineSection(*parts[k].dataset, *parts[k].train_mask,
+                              snapshot)));
+      if (snapshot.model != nullptr) {
+        FUSER_ASSIGN_OR_RETURN(std::string model_bytes,
+                               EncodeModelSection(*snapshot.model));
+        FUSER_RETURN_IF_ERROR(write_small(kSectionModel, k, model_bytes));
+      }
+      if (snapshot.grouping != nullptr) {
+        FUSER_RETURN_IF_ERROR(write_small(
+            kSectionGrouping, k, EncodeGroupingSection(*snapshot.grouping)));
+      }
+      if (!snapshot.serving.empty()) {
+        FUSER_RETURN_IF_ERROR(
+            write_small(kSectionServing, k, EncodeServingSection(snapshot)));
+      }
+    }
+    for (uint32_t k = 0; k < parts.size(); ++k) {
+      FUSER_ASSIGN_OR_RETURN(
+          uint64_t size,
+          WriteDatasetSection(*parts[k].dataset, offset, &writer));
+      table.push_back(
+          {kSectionDataset, k, offset, size, writer.section_checksum()});
+      offset += size;
+    }
+    if (table.size() != num_sections) {
+      return Status::Internal("snapshot section count accounting bug");
+    }
     ByteSink header;
     header.WriteRaw(kMagic, sizeof(kMagic));
     header.WriteU32(kSnapshotFormatVersion);
-    header.WriteU32(static_cast<uint32_t>(num_sections));
-    uint64_t offset = header_end;
-    for (const auto& [id, payload] : small_sections) {
-      header.WriteU32(id);
-      header.WriteU32(0);  // reserved
-      header.WriteU64(offset);
-      header.WriteU64(payload.size());
-      header.WriteU64(Checksum64(payload.data(), payload.size()));
-      offset += payload.size();
+    header.WriteU32(static_cast<uint32_t>(table.size()));
+    for (const TableEntry& entry : table) {
+      header.WriteU32(entry.id);
+      header.WriteU32(entry.part);
+      header.WriteU64(entry.offset);
+      header.WriteU64(entry.size);
+      header.WriteU64(entry.checksum);
     }
-    header.WriteU32(kSectionDataset);
-    header.WriteU32(0);  // reserved
-    header.WriteU64(dataset_offset);
-    header.WriteU64(layout.total);
-    header.WriteU64(dataset_checksum);
     header.WriteU64(Checksum64(header.data().data(), header.size()));
-    return header.data();
-  };
-
-  // Pass 1: header with a placeholder dataset checksum, the small
-  // payloads, then the streamed dataset payload (checksummed on the way
-  // out). Pass 2 seeks back and rewrites the header with the real value.
-  return persist::WriteFileDurably(path, [&](std::FILE* out) -> Status {
-    FileSectionWriter writer(out);
-    writer.BeginSection();
-    const std::string placeholder_header = build_header(0);
-    FUSER_RETURN_IF_ERROR(
-        writer.Write(placeholder_header.data(), placeholder_header.size()));
-    for (const auto& [id, payload] : small_sections) {
-      (void)id;
-      FUSER_RETURN_IF_ERROR(writer.Write(payload.data(), payload.size()));
-    }
-    writer.BeginSection();
-    FUSER_RETURN_IF_ERROR(WriteDatasetSection(dataset, layout, scalars,
-                                              providers, domain_sources,
-                                              domain_triples, &writer));
-    if (writer.section_bytes() != layout.total) {
-      return Status::Internal("dataset section size accounting bug");
-    }
-    const std::string final_header = build_header(writer.section_checksum());
     if (std::fseek(out, 0, SEEK_SET) != 0 ||
-        std::fwrite(final_header.data(), 1, final_header.size(), out) !=
-            final_header.size()) {
-      return Status::IoError("header rewrite failed: " + path + ".tmp");
+        std::fwrite(header.data().data(), 1, header.size(), out) !=
+            header.size()) {
+      return Status::IoError("header write failed: " + path + ".tmp");
     }
     return Status::OK();
   });
 }
 
+Status SaveSnapshot(const std::string& path, const Dataset& dataset,
+                    const DynamicBitset& train_mask,
+                    const FusionSnapshot& snapshot) {
+  return SaveSnapshotParts(path, {{&dataset, &train_mask, &snapshot}}, {});
+}
+
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path) {
-  const char* force = std::getenv("FUSER_FORCE_MMAP_ATTACH");
-  if (force != nullptr && std::string_view(force) == "1") {
-    return LoadImpl(path, nullptr, AttachMode::kMmapVerify);
-  }
-  return LoadImpl(path, nullptr, AttachMode::kCopy);
+  return LoadSinglePart(path, DefaultAttachMode(), nullptr);
 }
 
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
                                       const LoadOptions& options) {
-  return LoadImpl(path, nullptr, options.attach);
+  return LoadSinglePart(path, options.attach, nullptr);
 }
 
 StatusOr<LoadedSnapshot> LoadSnapshotFor(const std::string& path,
@@ -1422,7 +1433,29 @@ StatusOr<LoadedSnapshot> LoadSnapshotFor(const std::string& path,
   if (!dataset.finalized()) {
     return Status::FailedPrecondition("dataset must be finalized");
   }
-  return LoadImpl(path, &dataset, AttachMode::kCopy);
+  return LoadSinglePart(path, AttachMode::kCopy, &dataset);
+}
+
+StatusOr<std::vector<LoadedSnapshot>> LoadSnapshotParts(
+    const std::string& path, std::string* router_payload) {
+  SnapshotFile file;
+  FUSER_RETURN_IF_ERROR(file.Open(path, DefaultAttachMode()));
+  if (!file.Has(0, kSectionRouter)) {
+    return Status::InvalidArgument(
+        "snapshot has no router section: it was saved by "
+        "FusionEngine::SaveSnapshot; load it with LoadSnapshot and "
+        "FusionEngine::WarmStart");
+  }
+  std::string buffer;
+  FUSER_ASSIGN_OR_RETURN(std::string_view router,
+                         file.ReadSection(0, kSectionRouter, true, &buffer));
+  router_payload->assign(router);
+  std::vector<LoadedSnapshot> parts;
+  for (uint32_t k = 0; k < file.num_parts; ++k) {
+    FUSER_ASSIGN_OR_RETURN(LoadedSnapshot part, file.LoadPart(k, nullptr));
+    parts.push_back(std::move(part));
+  }
+  return parts;
 }
 
 }  // namespace fuser

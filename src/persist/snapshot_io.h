@@ -23,23 +23,29 @@
 // On-disk layout (all integers little-endian, doubles raw IEEE-754 bits):
 //
 //   magic "FUSRSNAP" | u32 format_version | u32 section_count
-//   section table: section_count x { u32 id, u32 reserved,
+//   section table: section_count x { u32 id, u32 part,
 //                                    u64 offset, u64 size, u64 checksum }
 //   u64 header_checksum            (FNV-1a 64 over everything above)
 //   section payloads...            (each covered by its table checksum)
 //
-// Sections: ENGINE (options, train mask, quality, dataset fingerprint),
+// A file holds K >= 1 parts (FusionEngine saves one, ShardedFusionEngine
+// one per shard); `part` says which part a section belongs to. A part's
+// sections: ENGINE (options, train mask, quality, dataset fingerprint),
 // DATASET (sources, triples, labels, domains, output bitsets), MODEL
 // (clustering + per-cluster empirical pattern counts), GROUPING (distinct
 // patterns + per-triple pattern ids), SERVING (per-method posterior
-// tables / dense score vectors). Readers skip unknown section ids, so new
-// sections are additive; any change that would make an old reader load
-// wrong state bumps kSnapshotFormatVersion instead.
+// tables / dense score vectors). An optional file-wide ROUTER section
+// holds an opaque payload (shard/sharded_persist.h). The DATASET sections
+// come last, after every part's small sections. Readers skip unknown
+// section ids, so new sections are additive; any change that would make
+// an old reader load wrong state bumps kSnapshotFormatVersion instead.
 #ifndef FUSER_PERSIST_SNAPSHOT_IO_H_
 #define FUSER_PERSIST_SNAPSHOT_IO_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/status.h"
@@ -53,7 +59,10 @@ namespace fuser {
 /// Version 2: the DATASET section became a columnar aligned-span image
 /// (arena bytes + raw ref/CSR/bitset arrays) that loads with bulk copies
 /// or attaches zero-copy via mmap.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Version 3: the section table's reserved field became the part index,
+/// and a file may hold several parts plus a ROUTER section (one file per
+/// sharded save instead of K shard files and a manifest).
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// How LoadSnapshot materializes the (large) DATASET section.
 enum class AttachMode {
@@ -94,26 +103,41 @@ struct LoadedSnapshot {
   std::shared_ptr<const FusionSnapshot> snapshot;
 };
 
-/// Writes `snapshot` plus the dataset and training mask it was estimated
-/// from. The snapshot must belong to `dataset` at its current version
-/// (save right after Prepare/Update/PublishSnapshot, before further
-/// mutation). Only empirical correlation models can be persisted; a model
-/// with caller-supplied (explicit) statistics returns Unimplemented. The
-/// file is written through persist::WriteFileDurably (temp file, fsync,
-/// rename, directory fsync), so a crash mid-save never leaves a
-/// half-written snapshot at `path`, and a failed save leaves no temp file.
+/// One part of a snapshot file: a finalized dataset, the training mask
+/// its state was estimated from, and a snapshot of that dataset at its
+/// current version.
+struct SnapshotPart {
+  const Dataset* dataset = nullptr;
+  const DynamicBitset* train_mask = nullptr;
+  const FusionSnapshot* snapshot = nullptr;
+};
+
+/// Writes `parts` as parts 0..K-1, plus a ROUTER section holding
+/// `router_payload` when it is non-empty. Each snapshot must belong to its
+/// dataset at the dataset's current version (save right after Prepare/
+/// Update/PublishSnapshot). Only empirical correlation models can be
+/// persisted; explicit statistics return Unimplemented. The file is one
+/// persist::WriteFileDurably call, whose rename is the only commit point:
+/// a crash leaves the old file or the whole new one, and a failed save
+/// leaves no file behind.
+Status SaveSnapshotParts(const std::string& path,
+                         const std::vector<SnapshotPart>& parts,
+                         std::string_view router_payload);
+
+/// The single-part case: one dataset, no router section.
 Status SaveSnapshot(const std::string& path, const Dataset& dataset,
                     const DynamicBitset& train_mask,
                     const FusionSnapshot& snapshot);
 
-/// Reads a snapshot file, re-materializing the dataset and every saved
-/// component. All sections are parsed and checksum-verified. Honors the
-/// FUSER_FORCE_MMAP_ATTACH=1 environment variable by loading as if
-/// `options.attach == AttachMode::kMmapVerify` (CI uses this to run the
-/// whole suite over attached datasets).
+/// Reads a single-part snapshot file, re-materializing the dataset and
+/// every saved component. All sections are parsed and checksum-verified.
+/// Honors the FUSER_FORCE_MMAP_ATTACH=1 environment variable by loading as
+/// if `options.attach == AttachMode::kMmapVerify` (CI uses this to run the
+/// whole suite over attached datasets). A file with several parts or a
+/// ROUTER section (a ShardedFusionEngine save) is InvalidArgument.
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
-/// Reads a snapshot file with an explicit dataset attach mode.
+/// Reads a single-part snapshot file with an explicit dataset attach mode.
 StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
                                       const LoadOptions& options);
 
@@ -123,9 +147,17 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
 /// (num_triples / num_sources / version) is verified against `dataset`,
 /// and the loaded grouping/serving state is attached to it. A mismatch —
 /// e.g. the dataset absorbed an Update after the snapshot was saved —
-/// fails with InvalidArgument.
+/// fails with InvalidArgument, as does a sharded file.
 StatusOr<LoadedSnapshot> LoadSnapshotFor(const std::string& path,
                                          const Dataset& dataset);
+
+/// Reads every part of a file saved with a ROUTER section (a
+/// ShardedFusionEngine save) and stores that section in `*router_payload`.
+/// Each part reads only its own sections' byte ranges. Honors
+/// FUSER_FORCE_MMAP_ATTACH like LoadSnapshot(path). A file without a
+/// ROUTER section is InvalidArgument.
+StatusOr<std::vector<LoadedSnapshot>> LoadSnapshotParts(
+    const std::string& path, std::string* router_payload);
 
 }  // namespace fuser
 

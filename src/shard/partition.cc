@@ -16,7 +16,8 @@ uint32_t ShardOfDomain(std::string_view domain,
                        const ShardingOptions& options) {
   // Byte-wise FNV-1a (not the chunked HashBytes64): the per-domain cost is
   // negligible and the simple form keeps the partition trivially
-  // re-implementable by external tooling reading the manifest.
+  // re-implementable by external tooling reading a snapshot's router
+  // section.
   uint64_t h = options.hash_seed;
   for (char c : domain) {
     h ^= static_cast<uint8_t>(c);

@@ -5,9 +5,8 @@
 // assigning every triple of a domain to one shard preserves the scope
 // relation exactly per shard, and shard-local sufficient statistics sum to
 // the global ones. The assignment is a seeded hash of the domain *name*,
-// so it is stable across processes, corpus orderings, and restarts (the
-// persisted manifest records the seed and shard count and refuses a
-// mismatch).
+// so it is stable across processes, corpus orderings, and restarts (a
+// sharded snapshot's router section records the seed and shard count).
 #ifndef FUSER_SHARD_PARTITION_H_
 #define FUSER_SHARD_PARTITION_H_
 

@@ -133,9 +133,9 @@ class ShardedCorpus {
                                            const ShardingOptions& options);
 
   /// Reassembles a corpus from already-built shard datasets plus their
-  /// local -> global id maps (warm start from a manifest). Validates that
-  /// the maps form a bijection onto [0, total) and that every shard's
-  /// source table matches shard 0's.
+  /// local -> global id maps (warm start from a snapshot's router
+  /// section). Validates that the maps form a bijection onto [0, total)
+  /// and that every shard's source table matches shard 0's.
   static StatusOr<ShardedCorpus> FromShards(
       std::vector<std::unique_ptr<Dataset>> shards,
       const std::vector<std::vector<TripleId>>& local_to_global,
@@ -173,7 +173,7 @@ class ShardedCorpus {
     return map_.Snapshot();
   }
 
-  /// Per-shard local -> global id arrays (manifest persistence).
+  /// Per-shard local -> global id arrays (persisted in the router section).
   const std::vector<std::vector<TripleId>>& LocalToGlobal() const {
     return local_to_global_;
   }

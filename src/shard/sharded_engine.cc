@@ -386,45 +386,47 @@ ShardedFusionEngine::CurrentServableSnapshot() const {
 }
 
 Status ShardedFusionEngine::SaveSnapshot(const std::string& path) const {
-  for (size_t k = 0; k < engines_.size(); ++k) {
-    FUSER_RETURN_IF_ERROR(engines_[k]->SaveSnapshot(ShardSnapshotPath(path, k)));
+  std::vector<std::shared_ptr<const FusionSnapshot>> pinned;
+  std::vector<SnapshotPart> parts;
+  for (const std::unique_ptr<FusionEngine>& engine : engines_) {
+    FUSER_ASSIGN_OR_RETURN(std::shared_ptr<const FusionSnapshot> snapshot,
+                           engine->SnapshotToSave());
+    parts.push_back({engine->dataset(), &engine->train_mask(), snapshot.get()});
+    pinned.push_back(std::move(snapshot));
   }
-  ShardManifest manifest;
-  manifest.snapshot_format_version = kSnapshotFormatVersion;
-  manifest.sharding = corpus_.options();
-  manifest.num_triples = corpus_.num_triples();
-  manifest.num_sources = corpus_.num_sources();
-  manifest.local_to_global = corpus_.LocalToGlobal();
-  return WriteShardManifest(path, manifest);
+  return SaveSnapshotParts(path, parts, EncodeShardRouter(corpus_));
 }
 
 StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
     const std::string& path, const EngineOptions& options) {
-  FUSER_ASSIGN_OR_RETURN(ShardManifest manifest, ReadShardManifest(path));
-  const size_t num_shards = manifest.sharding.num_shards;
-
-  std::vector<LoadedSnapshot> loaded;
-  loaded.reserve(num_shards);
+  std::string router_bytes;
+  FUSER_ASSIGN_OR_RETURN(std::vector<LoadedSnapshot> loaded,
+                         LoadSnapshotParts(path, &router_bytes));
+  FUSER_ASSIGN_OR_RETURN(ShardRouterState router,
+                         DecodeShardRouter(router_bytes));
+  const size_t num_shards = router.sharding.num_shards;
+  if (loaded.size() != num_shards) {
+    return Status::InvalidArgument(
+        "snapshot router names " + std::to_string(num_shards) +
+        " shards but the file holds " + std::to_string(loaded.size()) +
+        " parts: " + path);
+  }
+  // The corpus owns the datasets; the shard engine's WarmStart skips its
+  // pointer-identity check for a moved-out dataset (the object itself is
+  // unmoved, so the snapshot's internal pointers stay valid).
   std::vector<std::unique_ptr<Dataset>> datasets;
-  datasets.reserve(num_shards);
-  for (size_t k = 0; k < num_shards; ++k) {
-    FUSER_ASSIGN_OR_RETURN(LoadedSnapshot shard,
-                           LoadSnapshot(ShardSnapshotPath(path, k)));
-    // The corpus owns the dataset; the shard engine's WarmStart skips its
-    // pointer-identity check for a moved-out dataset (the object itself is
-    // unmoved, so the snapshot's internal pointers stay valid).
-    datasets.push_back(std::move(shard.dataset));
-    loaded.push_back(std::move(shard));
+  for (LoadedSnapshot& part : loaded) {
+    datasets.push_back(std::move(part.dataset));
   }
 
   FUSER_ASSIGN_OR_RETURN(
       ShardedCorpus corpus,
-      ShardedCorpus::FromShards(std::move(datasets), manifest.local_to_global,
-                                manifest.sharding));
-  if (corpus.num_triples() != manifest.num_triples ||
-      corpus.num_sources() != manifest.num_sources) {
+      ShardedCorpus::FromShards(std::move(datasets), router.local_to_global,
+                                router.sharding));
+  if (corpus.num_triples() != router.num_triples ||
+      corpus.num_sources() != router.num_sources) {
     return Status::InvalidArgument(
-        "shard manifest totals do not match the shard snapshots: " + path);
+        "shard router totals do not match the snapshot's parts: " + path);
   }
 
   std::unique_ptr<ShardedFusionEngine> engine(
@@ -460,25 +462,14 @@ StatusOr<std::unique_ptr<ShardedFusionEngine>> ShardedFusionEngine::WarmStart(
   engine->model_ = engine->engines_[0]->CurrentSnapshot()->model;
   engine->prepared_ = true;
 
-  std::vector<std::shared_ptr<const FusionSnapshot>> current;
-  std::vector<std::shared_ptr<const FusionSnapshot>> servable;
-  current.reserve(num_shards);
-  servable.reserve(num_shards);
-  bool all_servable = true;
-  for (size_t k = 0; k < num_shards; ++k) {
-    current.push_back(engine->engines_[k]->CurrentSnapshot());
-    auto shard_servable = engine->engines_[k]->CurrentServableSnapshot();
-    if (shard_servable == nullptr) {
-      all_servable = false;
-    } else {
-      servable.push_back(std::move(shard_servable));
-    }
+  // Servable only if every shard has serving entries.
+  std::vector<std::shared_ptr<const FusionSnapshot>> shards;
+  bool servable = true;
+  for (const auto& shard : engine->engines_) {
+    shards.push_back(shard->CurrentSnapshot());
+    servable = servable && !shards.back()->serving.empty();
   }
-  if (all_servable) {
-    engine->StoreSnapshot(std::move(servable), /*servable=*/true);
-  } else {
-    engine->StoreSnapshot(std::move(current), /*servable=*/false);
-  }
+  engine->StoreSnapshot(std::move(shards), servable);
   return engine;
 }
 

@@ -110,17 +110,20 @@ class ShardedFusionEngine {
   std::shared_ptr<const ShardedSnapshot> CurrentSnapshot() const;
   std::shared_ptr<const ShardedSnapshot> CurrentServableSnapshot() const;
 
-  /// Persists one snapshot file per shard (`<path>.shard<k>`) plus a
-  /// checksummed manifest at `path` recording the partition plan and the
-  /// per-shard local -> global id maps (see shard/sharded_persist.h).
+  /// Persists the engine as one snapshot file at `path`: part k is shard
+  /// k's state and the ROUTER section records the partition plan and the
+  /// per-shard local -> global id maps (see shard/sharded_persist.h). The
+  /// file is one persist::WriteFileDurably call, so a crash leaves the old
+  /// file or the whole new one, and a failed save leaves nothing behind.
   Status SaveSnapshot(const std::string& path) const;
 
-  /// Rebuilds a sharded engine from SaveSnapshot output: validates the
-  /// manifest (magic, versions, checksum), loads every shard snapshot
-  /// (a missing shard file or a shard saved under a different snapshot
-  /// format version fails the whole warm start), reassembles the global id
-  /// maps, and warm-starts each shard engine. `options.num_threads` is the
-  /// host budget; every other option comes from the saved state.
+  /// Rebuilds a sharded engine from SaveSnapshot output: decodes the
+  /// ROUTER section, loads part k for every shard (reading only that
+  /// part's byte ranges), reassembles the global id maps, and warm-starts
+  /// each shard engine. A file without a ROUTER section (a FusionEngine
+  /// save), a corrupt file or one from another format version fails the
+  /// whole warm start. `options.num_threads` is the host budget; every
+  /// other option comes from the saved state.
   static StatusOr<std::unique_ptr<ShardedFusionEngine>> WarmStart(
       const std::string& path, const EngineOptions& options);
 

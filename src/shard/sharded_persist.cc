@@ -1,105 +1,33 @@
 #include "shard/sharded_persist.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
 #include "persist/binary_io.h"
-#include "persist/snapshot_io.h"
 
 namespace fuser {
-namespace {
 
-constexpr char kMagic[8] = {'F', 'U', 'S', 'R', 'M', 'A', 'N', 'I'};
-
-}  // namespace
-
-std::string ShardSnapshotPath(const std::string& path, size_t shard) {
-  return path + ".shard" + std::to_string(shard);
-}
-
-Status WriteShardManifest(const std::string& path,
-                          const ShardManifest& manifest) {
-  if (manifest.local_to_global.size() != manifest.sharding.num_shards) {
-    return Status::InvalidArgument(
-        "manifest shard count does not match its id maps");
-  }
+std::string EncodeShardRouter(const ShardedCorpus& corpus) {
   persist::ByteSink sink;
-  sink.WriteRaw(kMagic, sizeof(kMagic));
-  sink.WriteU32(kShardManifestVersion);
-  sink.WriteU32(manifest.snapshot_format_version);
-  sink.WriteU32(manifest.sharding.num_shards);
-  sink.WriteU64(manifest.sharding.hash_seed);
-  sink.WriteU64(manifest.num_triples);
-  sink.WriteU64(manifest.num_sources);
-  for (const std::vector<TripleId>& map : manifest.local_to_global) {
+  sink.WriteU32(corpus.options().num_shards);
+  sink.WriteU64(corpus.options().hash_seed);
+  sink.WriteU64(corpus.num_triples());
+  sink.WriteU64(corpus.num_sources());
+  for (const std::vector<TripleId>& map : corpus.LocalToGlobal()) {
     sink.WriteU64(map.size());
     for (TripleId global : map) sink.WriteU32(global);
   }
-  sink.WriteU64(persist::Checksum64(sink.data().data(), sink.size()));
-  return persist::WriteFileDurably(path, [&](std::FILE* out) -> Status {
-    if (std::fwrite(sink.data().data(), 1, sink.size(), out) != sink.size()) {
-      return Status::IoError("short write: " + path + ".tmp");
-    }
-    return Status::OK();
-  });
+  return sink.data();
 }
 
-StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::IoError("cannot open shard manifest: " + path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::IoError("cannot stat shard manifest: " + path);
-  }
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  if (!bytes.empty()) in.read(&bytes[0], size);
-  if (!in) {
-    return Status::IoError("cannot read shard manifest: " + path);
-  }
-
-  if (bytes.size() < sizeof(kMagic) + sizeof(uint64_t) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a shard manifest: " + path);
-  }
-  const size_t payload_size = bytes.size() - sizeof(uint64_t);
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_size,
-              sizeof(stored_checksum));
-  if (persist::Checksum64(bytes.data(), payload_size) != stored_checksum) {
-    return Status::InvalidArgument("shard manifest checksum mismatch: " +
-                                   path);
-  }
-
-  persist::ByteSource source(bytes.data() + sizeof(kMagic),
-                             payload_size - sizeof(kMagic));
-  ShardManifest manifest;
-  uint32_t manifest_version = 0;
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&manifest_version));
-  if (manifest_version != kShardManifestVersion) {
-    return Status::InvalidArgument(
-        "unsupported shard manifest version " +
-        std::to_string(manifest_version));
-  }
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&manifest.snapshot_format_version));
-  if (manifest.snapshot_format_version != kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "shard snapshot format version " +
-        std::to_string(manifest.snapshot_format_version) +
-        " does not match this library's " +
-        std::to_string(kSnapshotFormatVersion));
-  }
-  FUSER_RETURN_IF_ERROR(source.ReadU32(&manifest.sharding.num_shards));
-  FUSER_RETURN_IF_ERROR(ValidateShardingOptions(manifest.sharding));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.sharding.hash_seed));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.num_triples));
-  FUSER_RETURN_IF_ERROR(source.ReadU64(&manifest.num_sources));
-  manifest.local_to_global.resize(manifest.sharding.num_shards);
+StatusOr<ShardRouterState> DecodeShardRouter(std::string_view payload) {
+  persist::ByteSource source(payload.data(), payload.size());
+  ShardRouterState router;
+  FUSER_RETURN_IF_ERROR(source.ReadU32(&router.sharding.num_shards));
+  FUSER_RETURN_IF_ERROR(ValidateShardingOptions(router.sharding));
+  FUSER_RETURN_IF_ERROR(source.ReadU64(&router.sharding.hash_seed));
+  FUSER_RETURN_IF_ERROR(source.ReadU64(&router.num_triples));
+  FUSER_RETURN_IF_ERROR(source.ReadU64(&router.num_sources));
+  router.local_to_global.resize(router.sharding.num_shards);
   uint64_t total = 0;
-  for (std::vector<TripleId>& map : manifest.local_to_global) {
+  for (std::vector<TripleId>& map : router.local_to_global) {
     size_t count = 0;
     FUSER_RETURN_IF_ERROR(source.ReadCount(sizeof(uint32_t), &count));
     map.resize(count);
@@ -107,14 +35,17 @@ StatusOr<ShardManifest> ReadShardManifest(const std::string& path) {
     total += count;
   }
   if (!source.exhausted()) {
-    return Status::InvalidArgument("shard manifest has trailing bytes: " +
-                                   path);
+    return Status::InvalidArgument("shard router section has trailing bytes");
   }
-  if (total != manifest.num_triples) {
+  if (total != router.num_triples) {
     return Status::InvalidArgument(
-        "shard manifest triple counts are inconsistent: " + path);
+        "shard router triple counts are inconsistent");
   }
-  return manifest;
+  return router;
+}
+
+std::string ShardSnapshotPath(const std::string& path, size_t shard) {
+  return path + ".shard" + std::to_string(shard);
 }
 
 }  // namespace fuser

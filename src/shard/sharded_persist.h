@@ -1,42 +1,29 @@
-// Manifest persistence for the sharded engine.
+// The router's share of a sharded snapshot.
 //
-// ShardedFusionEngine::SaveSnapshot writes one ordinary snapshot file per
-// shard (`<path>.shard<k>`, the full src/persist/ format: dataset, train
-// mask, model, grouping, serving) plus a manifest at `path` tying them
-// together. The manifest records everything the shard files cannot: the
-// partition plan (shard count and domain-hash seed — loading under a
-// different plan would silently misroute reads) and the per-shard
-// local -> global triple id maps that let the router reassemble the global
-// id space in its original order.
+// ShardedFusionEngine::SaveSnapshot writes one snapshot file
+// (persist/snapshot_io.h) whose part k is shard k's state. The ROUTER
+// section holds what the parts cannot: the partition plan (loading under
+// another plan would misroute reads), the global totals, and the
+// per-shard local -> global triple id maps. The container checks magic,
+// version, checksums and truncation, so the payload is plain fields:
 //
-// Layout (little-endian, trailing FNV-1a checksum over everything before
-// it):
-//
-//   magic "FUSRMANI" | u32 manifest_version | u32 snapshot_format_version
 //   u32 num_shards | u64 hash_seed | u64 num_triples | u64 num_sources
 //   per shard: u64 count | count x u32 global ids (local id order)
-//   u64 checksum
-//
-// ReadShardManifest refuses a bad magic, an unknown manifest version, a
-// snapshot format version other than the library's own (mixed-version
-// stacks must not half-load), a corrupt checksum, and truncation.
 #ifndef FUSER_SHARD_SHARDED_PERSIST_H_
 #define FUSER_SHARD_SHARDED_PERSIST_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "model/triple.h"
 #include "shard/partition.h"
+#include "shard/sharded_dataset.h"
 
 namespace fuser {
 
-inline constexpr uint32_t kShardManifestVersion = 1;
-
-struct ShardManifest {
-  /// persist::kSnapshotFormatVersion the shard files were written under.
-  uint32_t snapshot_format_version = 0;
+struct ShardRouterState {
   ShardingOptions sharding;
   uint64_t num_triples = 0;
   uint64_t num_sources = 0;
@@ -44,16 +31,17 @@ struct ShardManifest {
   std::vector<std::vector<TripleId>> local_to_global;
 };
 
-/// Path of shard k's snapshot file for the manifest at `path`.
+/// The ROUTER section payload for `corpus`.
+std::string EncodeShardRouter(const ShardedCorpus& corpus);
+
+/// Decodes and validates a ROUTER section payload.
+StatusOr<ShardRouterState> DecodeShardRouter(std::string_view payload);
+
+/// `<path>.shard<k>`: where format-2 sharded saves put shard k's file.
+/// Since format 3 no library code writes these names (a sharded save is
+/// the one file at `path`); the name stays for callers that still stat or
+/// clean up after older saves.
 std::string ShardSnapshotPath(const std::string& path, size_t shard);
-
-/// Writes the manifest through persist::WriteFileDurably, as SaveSnapshot
-/// writes a snapshot.
-Status WriteShardManifest(const std::string& path,
-                          const ShardManifest& manifest);
-
-/// Reads and fully validates a manifest.
-StatusOr<ShardManifest> ReadShardManifest(const std::string& path);
 
 }  // namespace fuser
 

@@ -687,23 +687,28 @@ TEST_F(MmapAttachTest, FlippedMappedDatasetRejected) {
 }
 
 TEST_F(MmapAttachTest, OldFormatSnapshotIsAVersionedError) {
-  // A v1-era header (the pre-columnar row codec) must fail up front with
-  // both versions named — not a misparse of the old DATASET encoding.
-  std::string old = bytes_;
-  old[8] = 1;
-  old[9] = old[10] = old[11] = 0;
-  for (AttachMode mode :
-       {AttachMode::kCopy, AttachMode::kMmap, AttachMode::kMmapVerify}) {
-    auto loaded = LoadSnapshot(WriteVariant(old), LoadOptions{mode});
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(
-        loaded.status().message().find("unsupported snapshot format version 1"),
-        std::string::npos)
-        << loaded.status();
-    EXPECT_NE(loaded.status().message().find("reads version 2"),
-              std::string::npos)
-        << loaded.status();
+  // A v1-era header (the pre-columnar row codec) or a v2 one (one part per
+  // file, no part index) must fail up front with both versions named —
+  // not a misparse of the old encoding.
+  for (int version : {1, 2}) {
+    std::string old = bytes_;
+    old[8] = static_cast<char>(version);
+    old[9] = old[10] = old[11] = 0;
+    for (AttachMode mode :
+         {AttachMode::kCopy, AttachMode::kMmap, AttachMode::kMmapVerify}) {
+      auto loaded = LoadSnapshot(WriteVariant(old), LoadOptions{mode});
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(
+                    "unsupported snapshot format version " +
+                    std::to_string(version)),
+                std::string::npos)
+          << loaded.status();
+      EXPECT_NE(loaded.status().message().find(
+                    "reads version " + std::to_string(kSnapshotFormatVersion)),
+                std::string::npos)
+          << loaded.status();
+    }
   }
 }
 

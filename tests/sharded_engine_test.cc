@@ -5,13 +5,16 @@
 // clustered configs, through streaming updates, through the serving
 // facade, and across a save/warm-start round trip.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/engine.h"
 #include "gtest/gtest.h"
 #include "model/dataset.h"
@@ -443,62 +446,180 @@ TEST(ShardedPersistTest, SaveWarmStartRoundTrip) {
   EXPECT_TRUE((*warm)->RunAll(ShardableLineup()).ok());
 }
 
+TEST(ShardedPersistTest, RoundTripAtHundredsOfShards) {
+  // Five sections per part: 256 shards need a section table of 1281
+  // entries, past what a single-engine file ever holds.
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1941);
+  EngineOptions options = MakeOptions(Variant::kScoped);
+  auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{256}, options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+  ASSERT_TRUE((*engine)->PublishSnapshot(ShardableLineup()).ok());
+  auto expected = (*engine)->RunAll(ShardableLineup());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  const std::string path = TempPath("sharded_wide.snap");
+  ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+  auto warm = ShardedFusionEngine::WarmStart(path, options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ((*warm)->num_shards(), 256u);
+  auto runs = (*warm)->RunAll(ShardableLineup());
+  ASSERT_TRUE(runs.ok()) << runs.status();
+  ExpectRunsIdentical(*runs, *expected);
+}
+
 TEST(ShardedPersistTest, FailedManifestWriteLeavesNoTempFile) {
-  // The shard files land beside the target; a non-empty directory at the
-  // manifest path makes its final rename fail: IoError, no temp file left.
+  // A non-empty directory at the target path makes the save's one rename
+  // fail: IoError, and neither the temp file nor any per-shard file is
+  // left behind (a sharded save is one file since format 3).
   Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1811);
   EngineOptions options = MakeOptions(Variant::kScoped);
   auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{2}, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
   const std::string path = TempPath("sharded_onto_dir.snap");
+  for (size_t k = 0; k < 4; ++k) {
+    std::filesystem::remove(ShardSnapshotPath(path, k));  // earlier runs
+  }
   std::filesystem::create_directories(path + "/occupied");
   const Status saved = (*engine)->SaveSnapshot(path);
   EXPECT_EQ(saved.code(), StatusCode::kIoError) << saved;
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_FALSE(std::filesystem::exists(ShardSnapshotPath(path, k)))
+        << ShardSnapshotPath(path, k);
+  }
 }
 
-TEST(ShardedPersistTest, RefusesCorruptMissingAndMixedVersionManifests) {
+/// A prepared and published K-shard engine over `ds`, saved at `path`;
+/// returns the file's bytes.
+std::string SaveShardedBytes(const Dataset& ds, uint32_t num_shards,
+                             const EngineOptions& options,
+                             const std::string& path) {
+  auto engine =
+      ShardedFusionEngine::Create(ds, ShardingOptions{num_shards}, options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  EXPECT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
+  EXPECT_TRUE((*engine)->PublishSnapshot(ShardableLineup()).ok());
+  EXPECT_TRUE((*engine)->SaveSnapshot(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ShardedPersistTest, RefusesCorruptTruncatedAndMixedVersionFiles) {
   Dataset ds = MakeDataset(Variant::kPlain, /*seed=*/1901);
   EngineOptions options;
-  auto engine = ShardedFusionEngine::Create(ds, ShardingOptions{2}, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-  ASSERT_TRUE((*engine)->Prepare(ds.labeled_mask()).ok());
   const std::string path = TempPath("sharded_refusals.snap");
-  ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());
+  const std::string bytes = SaveShardedBytes(ds, 2, options, path);
+  ASSERT_GT(bytes.size(), 64u);
 
   // Baseline: loads fine.
   ASSERT_TRUE(ShardedFusionEngine::WarmStart(path, options).ok());
 
-  // Corrupt one manifest byte: the checksum refuses it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(20);
-    char byte = 0;
-    f.seekg(20);
-    f.read(&byte, 1);
-    byte ^= 0x5a;
-    f.seekp(20);
-    f.write(&byte, 1);
+  const std::string variant_path = TempPath("sharded_refusals_variant.snap");
+  auto warm_start_variant = [&](const std::string& variant) {
+    WriteBytes(variant_path, variant);
+    return ShardedFusionEngine::WarmStart(variant_path, options).status();
+  };
+
+  // A corrupt byte in the section table or in a payload: the header or
+  // section checksum refuses it.
+  for (size_t offset : {size_t{20}, bytes.size() / 2}) {
+    std::string corrupt = bytes;
+    corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x5a);
+    EXPECT_EQ(warm_start_variant(corrupt).code(),
+              StatusCode::kInvalidArgument)
+        << "corrupt byte at " << offset;
   }
-  EXPECT_EQ(ShardedFusionEngine::WarmStart(path, options).status().code(),
+
+  // A truncated file (a missing shard is now missing bytes) fails the
+  // whole warm start.
+  for (size_t cut : {size_t{0}, size_t{40}, bytes.size() / 2,
+                     bytes.size() - 1}) {
+    EXPECT_FALSE(warm_start_variant(bytes.substr(0, cut)).ok())
+        << "truncated to " << cut;
+  }
+
+  // Another snapshot format version — format 2 (shard files plus a
+  // manifest) included — is refused whole.
+  for (uint32_t version : {kSnapshotFormatVersion + 1, 2u}) {
+    std::string mixed = bytes;
+    std::memcpy(&mixed[8], &version, sizeof(version));
+    const Status status = warm_start_variant(mixed);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << status;
+  }
+
+  // A format-2 manifest (magic "FUSRMANI") is not a snapshot.
+  std::string manifest = bytes;
+  std::memcpy(&manifest[0], "FUSRMANI", 8);
+  EXPECT_EQ(warm_start_variant(manifest).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());  // restore
+}
 
-  // A missing shard file fails the whole warm start.
-  ASSERT_EQ(std::remove(ShardSnapshotPath(path, 1).c_str()), 0);
-  EXPECT_EQ(ShardedFusionEngine::WarmStart(path, options).status().code(),
-            StatusCode::kIoError);
-  ASSERT_TRUE((*engine)->SaveSnapshot(path).ok());  // restore
+TEST(ShardedPersistTest, EachTopologyRefusesTheOthersFile) {
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1921);
+  EngineOptions options = MakeOptions(Variant::kScoped);
 
-  // A manifest from a different snapshot format version is refused whole.
-  auto manifest = ReadShardManifest(path);
-  ASSERT_TRUE(manifest.ok()) << manifest.status();
-  manifest->snapshot_format_version = kSnapshotFormatVersion + 1;
-  ASSERT_TRUE(WriteShardManifest(path, *manifest).ok());
-  auto mixed = ShardedFusionEngine::WarmStart(path, options);
-  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  // A sharded file through the single-part entry points.
+  const std::string sharded_path = TempPath("sharded_topology.snap");
+  SaveShardedBytes(ds, 2, options, sharded_path);
+  for (AttachMode mode :
+       {AttachMode::kCopy, AttachMode::kMmap, AttachMode::kMmapVerify}) {
+    auto loaded = LoadSnapshot(sharded_path, LoadOptions{mode});
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(
+        loaded.status().message().find("ShardedFusionEngine::WarmStart"),
+        std::string::npos)
+        << loaded.status();
+  }
+  FusionEngine unsharded(static_cast<const Dataset*>(&ds), options);
+  const Status warmed = unsharded.WarmStart(sharded_path);
+  EXPECT_EQ(warmed.code(), StatusCode::kInvalidArgument) << warmed;
+  EXPECT_NE(warmed.message().find("ShardedFusionEngine::WarmStart"),
+            std::string::npos)
+      << warmed;
+
+  // A single-engine file through the sharded entry point.
+  FusionEngine writer(static_cast<const Dataset*>(&ds), options);
+  ASSERT_TRUE(writer.Prepare(ds.labeled_mask()).ok());
+  const std::string single_path = TempPath("unsharded_topology.snap");
+  ASSERT_TRUE(writer.SaveSnapshot(single_path).ok());
+  auto sharded = ShardedFusionEngine::WarmStart(single_path, options);
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sharded.status().message().find("router"), std::string::npos)
+      << sharded.status();
+}
+
+TEST(ShardedPersistTest, SingleByteFlipsAlwaysFailCleanly) {
+  // The K=2 counterpart of persist_test's sweep: the sharded warm start
+  // reads and checksums every section of the file, so every flip is
+  // refused, and none may crash or trip the sanitizers.
+  Dataset ds = MakeDataset(Variant::kScoped, /*seed=*/1931);
+  EngineOptions options = MakeOptions(Variant::kScoped);
+  const std::string bytes =
+      SaveShardedBytes(ds, 2, options, TempPath("sharded_flips.snap"));
+  const std::string path = TempPath("sharded_flips_variant.snap");
+  Rng rng(20261022);
+  for (int i = 0; i < 200; ++i) {
+    const size_t offset = rng.NextBounded(bytes.size());
+    const uint8_t flip = static_cast<uint8_t>(1u << rng.NextBounded(8));
+    std::string bad = bytes;
+    bad[offset] = static_cast<char>(bad[offset] ^ flip);
+    WriteBytes(path, bad);
+    EXPECT_FALSE(ShardedFusionEngine::WarmStart(path, options).ok())
+        << "flip at offset " << offset << " was not detected";
+  }
 }
 
 TEST(ShardedEngineTest, NonShardableMethodsAreRejected) {
